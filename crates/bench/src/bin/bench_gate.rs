@@ -6,15 +6,15 @@
 //! bench_gate <baseline.json> <fresh.json> [tolerance]
 //! ```
 //!
-//! Each row carries up to two gated metrics: `speedup` (quickened vs
-//! raw) and `threaded_speedup` (threaded vs raw); a metric present in
-//! the baseline must hold its floor in the fresh run. `tolerance` is the
-//! allowed relative slack below a baseline ratio and defaults to
-//! [`ijvm_bench::GATE_TOLERANCE`] (−10%) — one constant shared with the
-//! CI workflow and the docs so they cannot drift. Rows present only in
-//! the fresh file (newly added benchmarks) are reported but never gate;
-//! rows missing from the fresh file fail, so a benchmark cannot silently
-//! disappear. The parser is hand-rolled against the one-row-per-line
+//! Each row carries one gated metric, `threaded_speedup` (threaded vs
+//! raw), which must hold its baseline floor in the fresh run.
+//! `tolerance` is the allowed relative slack below a baseline ratio and
+//! defaults to [`ijvm_bench::GATE_TOLERANCE`] (−10%) — one constant
+//! shared with the CI workflow and the docs so they cannot drift. Rows
+//! present only in the fresh file (newly added benchmarks) are reported
+//! but never gate; rows missing from the fresh file fail, so a benchmark
+//! cannot silently disappear, and a fresh row without the metric counts
+//! as missing. The parser is hand-rolled against the one-row-per-line
 //! format `engine_bench` writes — the workspace builds offline, without
 //! serde.
 
@@ -24,8 +24,7 @@ use std::process::ExitCode;
 #[derive(Debug, Clone)]
 struct Row {
     name: String,
-    speedup: f64,
-    threaded_speedup: Option<f64>,
+    threaded_speedup: f64,
 }
 
 /// Extracts the string value of `"key": "..."` from a JSON row line.
@@ -37,9 +36,10 @@ fn str_field(line: &str, key: &str) -> Option<String> {
 }
 
 /// Extracts the numeric value of `"key": ...` from a JSON row line. The
-/// search tag includes the opening quote, so `"speedup"` cannot match
-/// inside `"threaded_speedup"` (no quote precedes the `speedup` suffix
-/// there) — asserted by `speedup_key_is_boundary_checked`.
+/// search tag includes the opening quote, so a key cannot match the tail
+/// of a longer one (`"speedup"` never matches inside `"threaded_speedup"`:
+/// no quote precedes the suffix there) — asserted by
+/// `speedup_key_is_boundary_checked`.
 fn num_field(line: &str, key: &str) -> Option<f64> {
     let tag = format!("\"{key}\": ");
     let start = line.find(&tag)? + tag.len();
@@ -52,12 +52,10 @@ fn num_field(line: &str, key: &str) -> Option<f64> {
 
 fn parse_rows(json: &str) -> Vec<Row> {
     json.lines()
-        .filter(|l| l.contains("\"name\"") && l.contains("\"speedup\""))
         .filter_map(|l| {
             Some(Row {
                 name: str_field(l, "name")?,
-                speedup: num_field(l, "speedup")?,
-                threaded_speedup: num_field(l, "threaded_speedup"),
+                threaded_speedup: num_field(l, "threaded_speedup")?,
             })
         })
         .collect()
@@ -73,41 +71,39 @@ fn doc_num(json: &str, key: &str) -> Option<f64> {
     json.lines().find_map(|l| num_field(l, key))
 }
 
-/// Renders one row's full ratio set, for the offending-row summary.
-fn describe_row(r: &Row) -> String {
-    match r.threaded_speedup {
-        Some(t) => format!("speedup {:.4}x, threaded_speedup {t:.4}x", r.speedup),
-        None => format!("speedup {:.4}x", r.speedup),
-    }
-}
-
-/// Gates one metric of one row. Returns `true` on failure.
-fn gate_metric(
-    name: &str,
-    metric: &str,
-    baseline: f64,
-    fresh: Option<f64>,
-    tolerance: f64,
-) -> bool {
-    let floor = baseline * (1.0 - tolerance);
-    match fresh {
-        Some(f) if f >= floor => {
-            println!(
-                "  ok   {name:<22} {metric:<17} {f:.4}x (floor {floor:.4}x, baseline {baseline:.4}x)"
-            );
-            false
-        }
-        Some(f) => {
-            println!(
-                "  FAIL {name:<22} {metric:<17} {f:.4}x below floor {floor:.4}x (baseline {baseline:.4}x)"
-            );
-            true
-        }
-        None => {
-            println!("  FAIL {name:<22} {metric:<17} missing from the fresh run");
-            true
+/// Gates every baseline row's `threaded_speedup` against the fresh run
+/// and returns one description per offending row: below its floor, or
+/// missing from the fresh run.
+fn gate_rows(baseline: &[Row], fresh: &[Row], tolerance: f64) -> Vec<String> {
+    let mut offenders = Vec::new();
+    for b in baseline {
+        let name = &b.name;
+        let base = b.threaded_speedup;
+        let floor = base * (1.0 - tolerance);
+        match fresh.iter().find(|f| f.name == b.name) {
+            Some(f) if f.threaded_speedup >= floor => {
+                println!(
+                    "  ok   {name:<22} {:.4}x (floor {floor:.4}x, baseline {base:.4}x)",
+                    f.threaded_speedup
+                );
+            }
+            Some(f) => {
+                println!(
+                    "  FAIL {name:<22} {:.4}x below floor {floor:.4}x (baseline {base:.4}x)",
+                    f.threaded_speedup
+                );
+                offenders.push(format!(
+                    "{name}: fresh threaded_speedup {:.4}x | baseline {base:.4}x",
+                    f.threaded_speedup
+                ));
+            }
+            None => {
+                println!("  FAIL {name:<22} missing from the fresh run");
+                offenders.push(format!("{name}: missing from the fresh run"));
+            }
         }
     }
+    offenders
 }
 
 fn main() -> ExitCode {
@@ -135,46 +131,15 @@ fn main() -> ExitCode {
         "bench gate: {fresh_path} vs floors in {baseline_path} (tolerance −{:.0}%)",
         tolerance * 100.0
     );
-    let mut failures = 0u32;
-    // Offending rows, re-listed at the end with *both* ratios so a CI
-    // log tail alone attributes the regression.
-    let mut offenders: Vec<String> = Vec::new();
-    for b in &baseline {
-        match fresh.iter().find(|f| f.name == b.name) {
-            Some(f) => {
-                let mut row_failed =
-                    gate_metric(&b.name, "speedup", b.speedup, Some(f.speedup), tolerance);
-                if let Some(bt) = b.threaded_speedup {
-                    row_failed |= gate_metric(
-                        &b.name,
-                        "threaded_speedup",
-                        bt,
-                        f.threaded_speedup,
-                        tolerance,
-                    );
-                }
-                if row_failed {
-                    failures += 1;
-                    offenders.push(format!(
-                        "{}: fresh {} | baseline {}",
-                        b.name,
-                        describe_row(f),
-                        describe_row(b)
-                    ));
-                }
-            }
-            None => {
-                println!("  FAIL {:<22} missing from {fresh_path}", b.name);
-                failures += 1;
-                offenders.push(format!("{}: missing from the fresh run", b.name));
-            }
-        }
-    }
+    // Offending rows, re-listed at the end with the fresh and baseline
+    // ratios so a CI log tail alone attributes the regression.
+    let mut offenders = gate_rows(&baseline, &fresh, tolerance);
+    let mut failures = offenders.len();
     for f in &fresh {
         if !baseline.iter().any(|b| b.name == f.name) {
             println!(
                 "  new  {:<22} {:.4}x (not gated; add to the baseline)",
-                f.name, f.speedup
+                f.name, f.threaded_speedup
             );
         }
     }
@@ -383,8 +348,8 @@ mod tests {
 
     const SAMPLE: &str = r#"{
   "rows": [
-    {"name": "intra-isolate call", "raw_ns": 10, "quickened_ns": 8, "threaded_ns": 7, "speedup": 1.2500, "threaded_speedup": 1.4286, "guest_insns": 42},
-    {"name": "static access", "raw_ns": 10, "quickened_ns": 6, "speedup": 1.6667, "guest_insns": 42}
+    {"name": "intra-isolate call", "raw_ns": 10, "threaded_ns": 7, "threaded_speedup": 1.4286, "guest_insns": 42},
+    {"name": "static access", "raw_ns": 10, "threaded_ns": 6, "threaded_speedup": 1.6667, "guest_insns": 42}
   ]
 }"#;
 
@@ -393,10 +358,50 @@ mod tests {
         let rows = parse_rows(SAMPLE);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].name, "intra-isolate call");
-        assert!((rows[0].speedup - 1.25).abs() < 1e-9);
-        assert!((rows[0].threaded_speedup.unwrap() - 1.4286).abs() < 1e-9);
-        assert!((rows[1].speedup - 1.6667).abs() < 1e-9);
-        assert_eq!(rows[1].threaded_speedup, None);
+        assert!((rows[0].threaded_speedup - 1.4286).abs() < 1e-9);
+        assert_eq!(rows[1].name, "static access");
+        assert!((rows[1].threaded_speedup - 1.6667).abs() < 1e-9);
+    }
+
+    fn row(name: &str, threaded_speedup: f64) -> Row {
+        Row {
+            name: name.to_owned(),
+            threaded_speedup,
+        }
+    }
+
+    /// A threaded row below its floor fails; one at or above it passes.
+    #[test]
+    fn threaded_row_below_floor_fails() {
+        let baseline = parse_rows(SAMPLE);
+        let at_floor = [
+            row("intra-isolate call", 1.4286 * 0.9),
+            row("static access", 1.6667),
+        ];
+        assert!(gate_rows(&baseline, &at_floor, 0.10).is_empty());
+        let below = [
+            row("intra-isolate call", 1.4286 * 0.9 - 0.001),
+            row("static access", 1.6667),
+        ];
+        let offenders = gate_rows(&baseline, &below, 0.10);
+        assert_eq!(offenders.len(), 1);
+        assert!(
+            offenders[0].starts_with("intra-isolate call:"),
+            "{offenders:?}"
+        );
+    }
+
+    /// A baseline row absent from the fresh run fails, and so does a
+    /// fresh row written without the gated metric.
+    #[test]
+    fn missing_row_fails() {
+        let baseline = parse_rows(SAMPLE);
+        let fresh = parse_rows(
+            r#"{"name": "intra-isolate call", "raw_ns": 10, "threaded_speedup": 1.5}
+{"name": "static access", "raw_ns": 10, "threaded_ns": 6}"#,
+        );
+        let offenders = gate_rows(&baseline, &fresh, 0.10);
+        assert_eq!(offenders, ["static access: missing from the fresh run"]);
     }
 
     /// The flat `"parallel"` section keys parse from anywhere in the
@@ -497,8 +502,8 @@ mod tests {
         assert!((doc_num(doc, "sat_scaling_max_ratio").unwrap() - 3.0).abs() < 1e-9);
     }
 
-    /// `"speedup"` must not match the tail of `"threaded_speedup"`, even
-    /// if a writer reorders the fields.
+    /// A key must not match the tail of a longer key (`"speedup"` inside
+    /// `"threaded_speedup"`), even if a writer reorders the fields.
     #[test]
     fn speedup_key_is_boundary_checked() {
         let line = r#"{"name": "x", "threaded_speedup": 2.0, "speedup": 1.5}"#;

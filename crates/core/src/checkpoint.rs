@@ -36,7 +36,7 @@
 //! * class metadata is **replayed** from the classfile bytes carried in
 //!   the loader classpaths (`load_class` in recorded [`ClassId`] order),
 //!   so vtables, field layouts and constant pools are re-derived;
-//! * quickened/threaded code ([`crate::engine::PreparedCode`]) is *not*
+//! * pre-decoded code ([`crate::engine::PreparedCode`]) is *not*
 //!   serialized — `prepared` starts `None` and every method re-quickens
 //!   lazily, which is what lets a Deterministic-oracle image restore
 //!   under a different engine;
@@ -1794,7 +1794,7 @@ mod tests {
         // under one must restore under another.
         let vm = Vm::new(VmOptions::isolated());
         let img = capture(&vm).unwrap();
-        let opts = VmOptions::isolated().with_engine(crate::engine::EngineKind::Quickened);
+        let opts = VmOptions::isolated().with_engine(crate::engine::EngineKind::Raw);
         assert!(restore(&img, opts, |_| {}).is_ok());
     }
 }

@@ -16,16 +16,17 @@ use crate::interp::{
 use crate::vm::Thrown;
 use std::cell::RefCell;
 
-/// Whether a fused virtual site's monomorphic cache can still be filled
-/// (see the match engine's `CacheState`).
+/// Whether a fused virtual site's monomorphic cache can still be filled:
+/// `Cold` caches the first fuseable receiver; `Polymorphic` (the cache
+/// already holds a *different* class) never rebuilds, so megamorphic
+/// sites stay allocation-free on the plain vtable path.
 #[derive(PartialEq)]
 enum CacheState {
     Cold,
     Polymorphic,
 }
 
-/// Quickens an `invokestatic`/`invokespecial` slow form (the match
-/// engine's `quicken_direct_call!`).
+/// Quickens an `invokestatic`/`invokespecial` slow form.
 fn quicken_direct_call(c: &mut Ctx<'_>, cp: u16, is_static: bool) -> Flow {
     c.flush_at(c.next);
     let class_id = tfr!(c).class;
@@ -78,7 +79,7 @@ pub(crate) fn h_invokestatic_r(c: &mut Ctx<'_>, op: u64) -> Flow {
         return f;
     }
     if c.shared_mode {
-        c.prepared.threaded_cells()[c.cur].set(super::TCell {
+        c.prepared.threaded[c.cur].set(super::TCell {
             handler: h_invoke_direct,
             operand: pack_method(target, arg_slots),
         });
@@ -103,7 +104,7 @@ pub(crate) fn h_invokestatic_f(c: &mut Ctx<'_>, op: u64) -> Flow {
         return f;
     }
     if c.shared_mode {
-        c.prepared.threaded_cells()[c.cur].set(super::TCell {
+        c.prepared.threaded[c.cur].set(super::TCell {
             handler: h_invoke_fused_site,
             operand: si as u64,
         });

@@ -1,10 +1,10 @@
 //! The direct-threaded dispatch engine.
 //!
-//! [`super::quicken`] dispatches with one giant `match` over [`XInsn`];
-//! this module replaces the match with *call threading*: pre-decode
-//! lowers every `XInsn` once into a [`TCell`] — a handler **function
-//! pointer** plus its operands packed into one `u64` — and the dispatch
-//! loop is nothing but an indirect call per instruction:
+//! Instead of a `match` over [`XInsn`], this module dispatches by *call
+//! threading*: pre-decode lowers every `XInsn` once into a [`TCell`] — a
+//! handler **function pointer** plus its operands packed into one `u64`
+//! — and the dispatch loop is nothing but an indirect call per
+//! instruction:
 //!
 //! ```text
 //! loop { match (cells[idx].handler)(&mut ctx, cells[idx].operand) { … } }
@@ -31,15 +31,14 @@
 //!
 //! Quickening is a handler-pointer rewrite: a slow handler (e.g.
 //! `objects::h_getstatic_slow`) resolves through the same `resolve_*`
-//! helpers as the other engines, then `Cell::set`s its own cell to the
+//! helpers as the raw interpreter, then `Cell::set`s its own cell to the
 //! fast handler with resolved operands and returns `Flow::Redo`.
 //!
-//! Semantics are intentionally bit-identical to the quickened match
-//! engine (and therefore to the raw interpreter): the same per-logical-
-//! instruction budget accounting, the same flush points into
-//! `insns_since_switch`, the same superinstruction de-fusing at quantum
-//! boundaries, and the same byte-pc frame suspension. The three-engine
-//! differential suite asserts this.
+//! Semantics are intentionally bit-identical to the raw interpreter: the
+//! same per-logical-instruction budget accounting, the same flush points
+//! into `insns_since_switch`, superinstructions de-fused at quantum
+//! boundaries, and the same byte-pc frame suspension. The engine
+//! differential suite asserts this against the raw oracle.
 
 pub(crate) mod arith;
 pub(crate) mod data;
@@ -130,7 +129,7 @@ macro_rules! tpop {
             .expect("operand stack underflow")
     };
 }
-/// `check!` of the match engine: unwraps or throws from the current cell.
+/// Unwraps a `Result` or throws its error from the current cell.
 macro_rules! tchk {
     ($c:expr, $r:expr) => {
         match $r {
@@ -143,8 +142,7 @@ pub(crate) use {tchk, tfr, tpop, tpush};
 
 impl Ctx<'_> {
     /// Flushes pending instruction counts and records the byte pc of
-    /// instruction index `i` as the frame's resume point (the `flush_at!`
-    /// of the match engine).
+    /// instruction index `i` as the frame's resume point.
     #[inline]
     pub fn flush_at(&mut self, i: usize) {
         tfr!(self).pc = self.prepared.idx_to_pc[i];
@@ -188,12 +186,12 @@ impl Ctx<'_> {
     /// transition) and re-dispatches it.
     #[inline]
     pub fn requicken(&mut self, x: XInsn) -> Flow {
-        self.prepared.threaded_cells()[self.cur].set(lower(x));
+        self.prepared.threaded[self.cur].set(lower(x));
         Flow::Redo
     }
 
-    /// The `finish_invoke!` of the match engine: performs a call whose
-    /// target method is already resolved and routes the outcome.
+    /// Performs a call whose target method is already resolved and routes
+    /// the outcome.
     pub fn finish_invoke(&mut self, target: MethodRef, arg_slots: u16) -> Flow {
         let insn_pc = self.prepared.idx_to_pc[self.cur] as usize;
         match invoke_resolved(self.vm, self.tid, self.fidx, target, arg_slots, insn_pc) {
@@ -211,9 +209,8 @@ impl Ctx<'_> {
         }
     }
 
-    /// The `fused_call!` of the match engine: calls through a fused call
-    /// site; the callee frame always pushes, so control yields back to
-    /// the prologue.
+    /// Calls through a fused call site; the callee frame always pushes,
+    /// so control yields back to the prologue.
     pub fn fused_call(&mut self, site: &super::CallSite) -> Flow {
         match invoke_fused(self.vm, self.tid, self.fidx, site) {
             Err(thrown) => self.throw(thrown),
@@ -480,7 +477,7 @@ pub fn lower(x: XInsn) -> TCell {
 
 /// Executes thread `tid` for at most `budget` instructions over the
 /// threaded cell stream, returning how many were consumed. Structure and
-/// accounting mirror [`super::quicken::step_thread_quickened`] exactly.
+/// accounting mirror the raw interpreter's `step_thread_raw` exactly.
 pub(crate) fn step_thread_threaded(vm: &mut Vm, tid: ThreadId, budget: u32) -> u32 {
     debug_assert_eq!(vm.options.engine, EngineKind::Threaded);
     let t = tid.0 as usize;
@@ -519,7 +516,7 @@ pub(crate) fn step_thread_threaded(vm: &mut Vm, tid: ThreadId, budget: u32) -> u
             }
             return consumed;
         };
-        let tcells = prepared.threaded_cells();
+        let tcells = &prepared.threaded[..];
         let shared_mode = vm.options.isolation == IsolationMode::Shared;
         let mut ctx = Ctx {
             vm,

@@ -2,8 +2,8 @@
 //! and monitors. Slow forms resolve through the shared `resolve_*`
 //! helpers and rewrite their cell to the resolved handler (quickening);
 //! in `Shared` mode statics and `new` take a second transition to the
-//! init-elided handlers, modelling the baseline JIT exactly like the
-//! match engine's `*I` forms.
+//! init-elided handlers (the `*I` forms), modelling the baseline JIT's
+//! dropped class-initialization check.
 
 use super::{hi32, lo32, tchk, tfr, tpop, tpush, Ctx, Flow};
 use crate::class::{ClassTarget, InitState};
@@ -203,7 +203,7 @@ fn static_r(c: &mut Ctx<'_>, op: u64, is_get: bool) -> Flow {
     if c.shared_mode {
         // Baseline fast path: the JIT removes the init check once the
         // class is initialized.
-        c.prepared.threaded_cells()[c.cur].set(super::lower(if is_get {
+        c.prepared.threaded[c.cur].set(super::lower(if is_get {
             XInsn::GetStaticI { class, slot }
         } else {
             XInsn::PutStaticI { class, slot }
@@ -303,7 +303,7 @@ pub(crate) fn h_new_r(c: &mut Ctx<'_>, op: u64) -> Flow {
         return f;
     }
     if c.shared_mode {
-        c.prepared.threaded_cells()[c.cur].set(super::lower(XInsn::NewI(new_class)));
+        c.prepared.threaded[c.cur].set(super::lower(XInsn::NewI(new_class)));
     }
     let r = tchk!(c, c.vm.alloc_instance(new_class, iso));
     tpush!(c, Value::Ref(r));

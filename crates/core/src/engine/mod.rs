@@ -1,45 +1,42 @@
-//! The pre-decoded execution engines.
+//! The pre-decoded execution engine.
 //!
 //! The raw interpreter ([`crate::interp`]) re-decodes every instruction
 //! from classfile bytes on every execution: an `Opcode::from_byte` table
 //! lookup plus operand re-reads, branch-offset arithmetic and switch
 //! re-alignment, and a constant-pool indirection for every field access
 //! and call. This module removes all of that work from the hot path with
-//! the classic VM *quickening* design, in four layers:
+//! the classic VM *quickening* design, in three layers:
 //!
 //! 1. **Pre-decoding** ([`mod@predecode`]) — on a method's first execution its
-//!    `Code` bytes are translated once into a dense, fixed-width
+//!    `Code` bytes are translated once into a dense, fixed-width, immutable
 //!    [`XInsn`] stream with fused operands and branch targets resolved to
 //!    instruction indices, plus a pc↔index map so exception tables (which
 //!    stay byte-addressed) and suspension points keep working.
-//! 2. **Quickening** — constant-pool-indexed instructions (`getfield`,
+//! 2. **Threading** ([`handlers::lower`]) — in the same pass each
+//!    [`XInsn`] lowers into a [`handlers::TCell`]: a handler function
+//!    pointer plus operands packed into one `u64`.
+//! 3. **Dispatch and quickening** — `handlers::step_thread_threaded`
+//!    drives threads over the cell stream with an indirect call per
+//!    instruction. Constant-pool-indexed instructions (`getfield`,
 //!    `getstatic`, `invoke*`, `new`, …) start in slow form; the first
-//!    execution resolves them and rewrites the stream cell in place to a
+//!    execution resolves them and rewrites the *cell* in place to a
 //!    direct-operand fast form. The interface-call inline caches the raw
-//!    interpreter kept in `RtCp` become per-call-site caches in the
-//!    stream, and string `ldc` sites gain a per-isolate, GC-epoch-guarded
-//!    cache.
-//! 3. **Threading** ([`handlers::lower`]) — for the threaded engine each
-//!    [`XInsn`] lowers once (lazily) into a [`handlers::TCell`]: a handler
-//!    function pointer plus operands packed into one `u64`.
-//! 4. **Dispatch** — `quicken::step_thread_quickened` drives threads
-//!    over the `XInsn` stream with one big `match`;
-//!    `handlers::step_thread_threaded` (the default) drives them over
-//!    the cell stream with an indirect call per instruction. Both have
-//!    semantics identical to the raw interpreter: instruction-budget
-//!    quanta, CPU-sampling weights, inter-isolate migration on invoke,
-//!    and `StoppedIsolateException` injection all behave the same, which
-//!    the differential tests assert.
+//!    interpreter kept in `RtCp` become per-call-site caches, and string
+//!    `ldc` sites gain a per-isolate, GC-epoch-guarded cache.
+//!
+//! Semantics are identical to the raw interpreter: instruction-budget
+//! quanta, CPU-sampling weights, inter-isolate migration on invoke, and
+//! `StoppedIsolateException` injection all behave the same, which the
+//! differential tests assert with the raw engine as the oracle.
 //!
 //! The per-method [`PreparedCode`] cache hangs off
 //! [`crate::class::RuntimeMethod::prepared`]; it is built lazily and torn
 //! down with the owning loader when its isolate is terminated.
-//! [`crate::vm::VmOptions::engine`] selects [`EngineKind::Raw`],
-//! [`EngineKind::Quickened`] or [`EngineKind::Threaded`], keeping all
-//! paths alive for §4.4-style ablations, A/B benchmarking, and the
-//! three-way differential oracle.
+//! [`crate::vm::VmOptions::engine`] selects [`EngineKind::Threaded`] (the
+//! default) or [`EngineKind::Raw`] (the oracle, kept for §4.4-style
+//! ablations and A/B benchmarking).
 //!
-//! Every engine's quantum hook doubles as the parallel scheduler's
+//! The engine's quantum hook doubles as the parallel scheduler's
 //! migration point: when the instruction budget expires, fused
 //! superinstructions de-fuse, pending exact CPU is flushable
 //! ([`crate::vm::Vm::flush_pending_cpu`]), and control returns to the
@@ -50,7 +47,6 @@
 
 pub mod handlers;
 pub mod predecode;
-pub mod quicken;
 pub mod xinsn;
 
 pub use predecode::{predecode, predecode_with};
@@ -63,7 +59,7 @@ use crate::ids::MethodRef;
 use crate::vm::Vm;
 use crate::vmrc::VmRc;
 use handlers::TCell;
-use std::cell::{Cell, OnceCell, RefCell};
+use std::cell::{Cell, RefCell};
 
 /// Which execution engine drives bytecode frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,13 +68,6 @@ pub enum EngineKind {
     /// Decode classfile bytes on every instruction (the seed interpreter;
     /// kept for ablation and differential testing).
     Raw,
-    /// Pre-decode each method once into an [`XInsn`] stream and dispatch
-    /// over it with a giant `match`, quickening cells in place. Retained
-    /// as a second differential oracle (and for ablation): it shares the
-    /// [`XInsn`] stream with [`EngineKind::Threaded`] but none of its
-    /// handler lowering, so a bug in either dispatch layer shows up as a
-    /// three-way divergence.
-    Quickened,
     /// Direct-threaded dispatch (the default): each [`XInsn`] lowers once
     /// into a [`handlers::TCell`] carrying a handler function pointer
     /// plus packed operands, and the dispatch loop is an indirect call
@@ -92,12 +81,12 @@ pub enum EngineKind {
 /// tables the stream indexes into.
 #[derive(Debug)]
 pub struct PreparedCode {
-    /// The instruction stream. `Cell` so quickening can rewrite a site in
-    /// place while the stream is shared with executing frames. Always
+    /// The pre-decoded instruction stream, immutable once built
+    /// (quickening rewrites the threaded cells, never this stream). Always
     /// ends with a [`xinsn::TrapKind::FellOffEnd`] guard, so execution
     /// running past the last real instruction faults cleanly without a
     /// per-instruction bounds check.
-    pub insns: Box<[Cell<XInsn>]>,
+    pub insns: Box<[XInsn]>,
     /// Instruction index → start byte pc; the trailing guard's entry is
     /// `bytes.len()`, so "the pc after the last instruction" maps too.
     pub idx_to_pc: Box<[u32]>,
@@ -119,11 +108,11 @@ pub struct PreparedCode {
     /// Quickened string-`ldc` sites, appended when an [`XInsn::LdcSlow`]
     /// over a string constant first executes.
     pub ldc_sites: RefCell<Vec<LdcSite>>,
-    /// The direct-threaded cell stream, lowered lazily from `insns` on the
-    /// threaded engine's first dispatch (other engines never pay for it).
-    /// Same length and indexing as `insns`; threaded quickening rewrites
-    /// these cells and leaves `insns` untouched.
-    threaded: OnceCell<Box<[Cell<TCell>]>>,
+    /// The direct-threaded cell stream, lowered from `insns` when the
+    /// method is pre-decoded. Same length and indexing as `insns`;
+    /// quickening rewrites these cells in place while the stream is
+    /// shared with executing frames.
+    threaded: Box<[Cell<TCell>]>,
     /// Profile counter: method entries at pc 0, bumped by the threaded
     /// engine only while the flight recorder is on
     /// ([`crate::vm::VmOptions::trace`]) — see
@@ -151,20 +140,9 @@ impl PreparedCode {
         self.idx_to_pc.get(idx as usize).copied()
     }
 
-    /// The direct-threaded cell stream, lowering it from the [`XInsn`]
-    /// stream on first use.
-    pub fn threaded_cells(&self) -> &[Cell<TCell>] {
-        self.threaded.get_or_init(|| {
-            self.insns
-                .iter()
-                .map(|c| Cell::new(handlers::lower(c.get())))
-                .collect()
-        })
-    }
-
     /// Approximate heap footprint, for metadata accounting.
     pub fn metadata_bytes(&self) -> usize {
-        self.insns.len() * std::mem::size_of::<Cell<XInsn>>()
+        self.insns.len() * std::mem::size_of::<XInsn>()
             + self.idx_to_pc.len() * 4
             + self.pc_to_idx.len() * 4
             + self.switches.len() * std::mem::size_of::<SwitchTable>()
@@ -173,10 +151,7 @@ impl PreparedCode {
             + self.call_sites.borrow().len() * std::mem::size_of::<CallSite>()
             + self.virt_sites.borrow().len() * std::mem::size_of::<VirtSite>()
             + self.ldc_sites.borrow().len() * std::mem::size_of::<LdcSite>()
-            + self
-                .threaded
-                .get()
-                .map_or(0, |t| t.len() * std::mem::size_of::<Cell<TCell>>())
+            + self.threaded.len() * std::mem::size_of::<Cell<TCell>>()
     }
 }
 

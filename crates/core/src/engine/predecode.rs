@@ -4,7 +4,7 @@
 //! instruction boundaries, producing the pc↔index maps that exception
 //! tables, suspension points and the disassembler use to move between the
 //! byte-pc world (stored in frames) and the index world (used by the
-//! quickened dispatch). Pass 2 decodes each instruction into a fixed-width
+//! threaded dispatch). Pass 2 decodes each instruction into a fixed-width
 //! [`XInsn`], fusing immediates, collapsing the `*load_N`/`*store_N`
 //! families, resolving numeric `ldc` against the constant pool, mapping
 //! branch offsets to instruction indices, and unpacking switch payloads
@@ -24,7 +24,7 @@
 //! pc↔index maps are untouched.
 
 use super::xinsn::{Cmp, CmpRhs, FusedCmp, IfaceSite, SwitchTable, TrapKind, XInsn, BAD_TARGET};
-use super::PreparedCode;
+use super::{handlers, PreparedCode};
 use crate::class::CodeBody;
 use ijvm_classfile::{ConstEntry, ConstPool, MethodDescriptor, Opcode};
 use std::cell::Cell;
@@ -147,12 +147,12 @@ pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> Prepared
     idx_to_pc.push(bytes.len() as u32);
 
     // Pass 2: decode.
-    let mut insns: Vec<Cell<XInsn>> = Vec::with_capacity(starts.len());
+    let mut insns: Vec<XInsn> = Vec::with_capacity(starts.len());
     let mut switches: Vec<SwitchTable> = Vec::new();
     let mut iface_sites: Vec<IfaceSite> = Vec::new();
     for (idx, &start) in starts.iter().enumerate() {
         if truncated && idx == starts.len() - 1 {
-            insns.push(Cell::new(XInsn::Trap(TrapKind::Truncated)));
+            insns.push(XInsn::Trap(TrapKind::Truncated));
             break;
         }
         let insn = decode_one(
@@ -163,7 +163,7 @@ pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> Prepared
             &mut switches,
             &mut iface_sites,
         );
-        insns.push(Cell::new(insn));
+        insns.push(insn);
     }
     // Pass 3 (optional): peephole-fuse superinstructions.
     let mut fused_cmps: Vec<FusedCmp> = Vec::new();
@@ -175,8 +175,12 @@ pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> Prepared
     // with no terminal return/goto/athrow) lands here and faults cleanly
     // instead of running off the stream. Its pc is `bytes.len()`, which
     // `idx_to_pc` already carries as its trailing entry.
-    insns.push(Cell::new(XInsn::Trap(TrapKind::FellOffEnd)));
+    insns.push(XInsn::Trap(TrapKind::FellOffEnd));
 
+    let threaded = insns
+        .iter()
+        .map(|&x| Cell::new(handlers::lower(x)))
+        .collect();
     PreparedCode {
         insns: insns.into_boxed_slice(),
         idx_to_pc: idx_to_pc.into_boxed_slice(),
@@ -187,9 +191,9 @@ pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> Prepared
         call_sites: std::cell::RefCell::new(Vec::new()),
         virt_sites: std::cell::RefCell::new(Vec::new()),
         ldc_sites: std::cell::RefCell::new(Vec::new()),
-        threaded: std::cell::OnceCell::new(),
-        hot_count: std::cell::Cell::new(0),
-        back_edges: std::cell::Cell::new(0),
+        threaded,
+        hot_count: Cell::new(0),
+        back_edges: Cell::new(0),
     }
 }
 
@@ -200,8 +204,8 @@ pub fn predecode_with(code: &CodeBody, pool: &ConstPool, fuse: bool) -> Prepared
 /// because resumption and short quanta execute the tail cells one by one.
 /// Patterns whose branch target is [`BAD_TARGET`] (malformed bytecode)
 /// are left unfused so the faulting pc matches the raw interpreter's.
-fn fuse_superinstructions(insns: &mut [Cell<XInsn>], fused_cmps: &mut Vec<FusedCmp>) {
-    let get = |i: usize| insns.get(i).map(|c| c.get());
+fn fuse_superinstructions(insns: &mut [XInsn], fused_cmps: &mut Vec<FusedCmp>) {
+    let get = |insns: &[XInsn], i: usize| insns.get(i).copied();
     let mut i = 0;
     while i < insns.len() {
         // Load a; Load b; Iadd; Store c  →  AddStore{a,b,c} (width 4)
@@ -210,21 +214,25 @@ fn fuse_superinstructions(insns: &mut [Cell<XInsn>], fused_cmps: &mut Vec<FusedC
             Some(XInsn::Load(b)),
             Some(XInsn::Iadd),
             Some(XInsn::Store(c)),
-        ) = (get(i), get(i + 1), get(i + 2), get(i + 3))
-        {
-            insns[i].set(XInsn::AddStore { a, b, c });
+        ) = (
+            get(insns, i),
+            get(insns, i + 1),
+            get(insns, i + 2),
+            get(insns, i + 3),
+        ) {
+            insns[i] = XInsn::AddStore { a, b, c };
             i += 4;
             continue;
         }
         // Load slot; IConst k; IfICmp  →  FusedCmpBr (width 3)
         // Load slot; Load s;   IfICmp  →  FusedCmpBr (width 3)
-        if let Some(XInsn::Load(slot)) = get(i) {
-            let rhs = match get(i + 1) {
+        if let Some(XInsn::Load(slot)) = get(insns, i) {
+            let rhs = match get(insns, i + 1) {
                 Some(XInsn::IConst(k)) => Some(CmpRhs::Const(k)),
                 Some(XInsn::Load(s)) => Some(CmpRhs::Local(s)),
                 _ => None,
             };
-            if let (Some(rhs), Some(XInsn::IfICmp { cmp, target })) = (rhs, get(i + 2)) {
+            if let (Some(rhs), Some(XInsn::IfICmp { cmp, target })) = (rhs, get(insns, i + 2)) {
                 if target != BAD_TARGET && fused_cmps.len() <= u16::MAX as usize {
                     fused_cmps.push(FusedCmp {
                         slot,
@@ -232,7 +240,7 @@ fn fuse_superinstructions(insns: &mut [Cell<XInsn>], fused_cmps: &mut Vec<FusedC
                         cmp,
                         target,
                     });
-                    insns[i].set(XInsn::FusedCmpBr((fused_cmps.len() - 1) as u16));
+                    insns[i] = XInsn::FusedCmpBr((fused_cmps.len() - 1) as u16);
                     i += 3;
                     continue;
                 }

@@ -9,9 +9,10 @@
 //!
 //! Constant-pool-indexed instructions start in their *slow* form carrying
 //! the pool index (`GetStatic`, `InvokeVirtual`, …). On first execution
-//! the quickened dispatch resolves them and rewrites the cell in place to
-//! a *resolved* form (`GetStaticR`, `InvokeVirtualR`, …) carrying direct
-//! slot/vtable/method operands — the classic quickening transition. In
+//! the threaded dispatch resolves them and rewrites the method's threaded
+//! cell in place to the lowering of a *resolved* form (`GetStaticR`,
+//! `InvokeVirtualR`, …) carrying direct slot/vtable/method operands —
+//! the classic quickening transition. In
 //! `Shared` isolation mode a second transition to the *init-elided* forms
 //! (`GetStaticI`, `NewI`, `InvokeStaticI`) models the baseline JIT
 //! dropping the class-initialization check once it has passed, exactly

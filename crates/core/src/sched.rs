@@ -65,9 +65,10 @@
 //! isolate kill from any thread; the request is delivered by whichever
 //! worker next picks the unit up, *before* its next slice.
 //! [`ClusterCtl::terminate_at`] defers delivery until the unit has run a
-//! given number of slices — a *deterministic* mid-run kill, used by the
-//! mid-call revocation tests to take a serving isolate down at the same
-//! execution point under every scheduler mode.
+//! given number of slices, or until the cluster stalls — a deterministic
+//! mid-run kill wherever the unit's slice count is (see its doc for when
+//! that holds), used by the mid-call revocation tests to take a serving
+//! isolate down at the same execution point under every scheduler mode.
 
 use crate::accounting::{ClusterAccounts, WorkerCpuBuffer};
 use crate::checkpoint::{CheckpointError, UnitImage};
@@ -162,8 +163,9 @@ impl UnitHandle {
     }
 
     /// Like [`UnitHandle::terminate`], deferred until the unit has run
-    /// at least `min_slices` quantum slices — a deterministic mid-run
-    /// kill point.
+    /// at least `min_slices` quantum slices or the cluster stalls; see
+    /// [`ClusterCtl::terminate_at`] for when that is a deterministic
+    /// mid-run kill point.
     pub fn terminate_at(&self, isolate: IsolateId, min_slices: u64) {
         self.ctl.terminate_at(self.id, isolate, min_slices);
     }
@@ -402,11 +404,19 @@ impl ClusterCtl {
     }
 
     /// Like [`ClusterCtl::terminate`], but deferred until the unit has
-    /// executed at least `min_slices` quantum slices. Because a unit's
-    /// slice count is a function of its own deterministic execution (not
-    /// of wall-clock time), this yields the *same* kill point under
-    /// `Deterministic` and `Parallel(n)` — the deterministic mid-call
-    /// revocation tests are built on it.
+    /// executed at least `min_slices` quantum slices. A request still
+    /// pending when the cluster stalls is delivered at the stall: no
+    /// further slice could ever make it due.
+    ///
+    /// A unit's slice count counts its pickups, so it is the same under
+    /// `Deterministic` and `Parallel(n)` only while every pickup is forced
+    /// by the unit's own execution (a budget-exhausted slice, or mail
+    /// from a single in-flight source) — the deterministic mid-call
+    /// revocation tests are built on that. A unit woken by concurrent
+    /// senders may see one queued request at a pickup in one mode and two
+    /// in another, so its slice count, and a kill addressed by it, can
+    /// differ between modes. The stall is always the same point: to kill
+    /// such a unit at its fixpoint, pass `u64::MAX`.
     pub fn terminate_at(&self, unit: UnitId, isolate: IsolateId, min_slices: u64) {
         let mut kills = self.inner.kills.lock().unwrap();
         kills.push(KillRequest {
@@ -444,11 +454,12 @@ impl ClusterCtl {
     }
 
     /// Requests a checkpoint of `unit` at the first quantum boundary
-    /// where it has executed at least `after_slices` slices. Like
-    /// [`ClusterCtl::terminate_at`], the cut point is a function of the
-    /// unit's own deterministic slice count, never of wall-clock time,
-    /// so the image is bit-identical under `Deterministic` and every
-    /// `Parallel(n)` — the restore-determinism tests are built on that.
+    /// where it has executed at least `after_slices` slices. The cut
+    /// point is addressed like [`ClusterCtl::terminate_at`]'s, never by
+    /// wall-clock time, so wherever the unit's slice count is the same
+    /// in every mode the image is bit-identical under `Deterministic`
+    /// and every `Parallel(n)` — the restore-determinism tests are built
+    /// on that.
     ///
     /// If the unit is not at a clean boundary there (in-flight cross-
     /// unit calls, undrained mail), the request is retried at later
@@ -536,6 +547,17 @@ impl ClusterCtl {
         std::mem::take(&mut *ckpts)
     }
 
+    /// Makes every pending kill addressed to `unit` due at once
+    /// (quiescence wrap-up: no further slice can reach its threshold).
+    fn make_kills_due(&self, unit: UnitId) {
+        let mut kills = self.inner.kills.lock().unwrap();
+        for k in kills.iter_mut() {
+            if k.unit == unit {
+                k.after_slices = 0;
+            }
+        }
+    }
+
     /// `true` when a kill addressed to `unit` is due at `slices`.
     fn has_pending(&self, unit: UnitId, slices: u64) -> bool {
         if !self.inner.armed.load(Ordering::Acquire) {
@@ -556,8 +578,7 @@ pub const DEFAULT_SLICE: u64 = 10_000;
 
 /// Builds a [`Cluster`]: scheduling mode, slice length, and the
 /// [`VmOptions`] defaults its units are expected to boot with. This is
-/// the embedding entry point of the v2 API — it owns everything the old
-/// `Cluster::{new, from_options, with_slice}` trio spread out.
+/// the one construction path of the embedding API.
 ///
 /// ```
 /// use ijvm_core::prelude::*;
@@ -662,38 +683,6 @@ impl Cluster {
     /// Starts building a cluster (the v2 embedding entry point).
     pub fn builder() -> ClusterBuilder {
         ClusterBuilder::new()
-    }
-
-    /// Shorthand for `Cluster::builder().scheduler(kind).build()`.
-    #[deprecated(
-        since = "0.3.0",
-        note = "use `Cluster::builder().scheduler(kind).build()` — the \
-                builder is the one construction path and also carries the \
-                flow-control knobs (`ClusterBuilder::mailbox_quota`)"
-    )]
-    pub fn new(kind: SchedulerKind) -> Cluster {
-        Cluster::builder().scheduler(kind).build()
-    }
-
-    /// Creates a cluster with the mode selected in `options`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Cluster::builder().vm_options(options).build()`"
-    )]
-    pub fn from_options(options: &VmOptions) -> Cluster {
-        Cluster::builder().vm_options(options.clone()).build()
-    }
-
-    /// Overrides the per-slice instruction budget (shorthand for the
-    /// builder's [`ClusterBuilder::slice`]).
-    #[deprecated(
-        since = "0.3.0",
-        note = "configure the slice up front with `ClusterBuilder::slice` \
-                instead of mutating a built cluster"
-    )]
-    pub fn with_slice(mut self, slice: u64) -> Cluster {
-        self.slice = slice.max(1);
-        self
     }
 
     /// The [`VmOptions`] defaults units of this cluster should boot with
@@ -1148,20 +1137,23 @@ impl Shared {
             return false;
         }
         // The cluster is globally stalled. Parked units with pending
-        // checkpoint requests get one final boundary visit before
-        // wrap-up: nothing else can ever run, so the requests are marked
-        // final (deliver-or-fail at pickup, no re-file) and their units
-        // requeued. This terminates — the pickup consumes the requests,
-        // the unit re-parks, and the next stall has nothing pending.
-        let ckpt_due: Vec<u32> = parked
+        // checkpoint or kill requests get one final boundary visit
+        // before wrap-up: nothing else can ever run, so the requests are
+        // made due (checkpoints deliver-or-fail at pickup, no re-file)
+        // and their units requeued. This terminates — the pickup
+        // consumes the requests, and the next stall has nothing pending.
+        let settle: Vec<u32> = parked
             .iter()
-            .filter(|(_, p)| self.ctl.has_pending_ckpt(p.unit.id))
+            .filter(|(_, p)| {
+                self.ctl.has_pending_ckpt(p.unit.id) || self.ctl.has_pending(p.unit.id, u64::MAX)
+            })
             .map(|(id, _)| *id)
             .collect();
-        if !ckpt_due.is_empty() {
-            for id in ckpt_due {
+        if !settle.is_empty() {
+            for id in settle {
                 let p = parked.remove(&id).expect("collected above");
                 self.ctl.mark_ckpts_final(p.unit.id);
+                self.ctl.make_kills_due(p.unit.id);
                 let w = p.unit.last_worker.unwrap_or(id as usize) % self.queues.len();
                 self.queues[w].lock().unwrap().push_back(p.unit);
             }

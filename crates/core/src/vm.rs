@@ -46,11 +46,10 @@ pub struct VmOptions {
     /// Isolation mode (see [`IsolationMode`]).
     pub isolation: IsolationMode,
     /// Execution engine (see [`crate::engine::EngineKind`]): pre-decoded
-    /// direct-threaded dispatch by default, with the quickened match
-    /// dispatch and the raw byte interpreter kept for ablation, A/B
-    /// comparison and differential testing.
+    /// direct-threaded dispatch by default, with the raw byte interpreter
+    /// kept for ablation, A/B comparison and as the differential oracle.
     pub engine: crate::engine::EngineKind,
-    /// Superinstruction fusion in the pre-decoded engines' pre-decoder
+    /// Superinstruction fusion in the threaded engine's pre-decoder
     /// (peephole-folded `Load+Load+Iadd+Store` and compare-and-branch
     /// shapes). On by default; separable for ablation and for the
     /// fused-vs-unfused differential tests. Ignored by the raw engine.
@@ -1368,29 +1367,6 @@ impl Vm {
         Ok(&self.isolate(iso)?.stats)
     }
 
-    /// Snapshot of every isolate's counters, for administrators.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `Vm::metrics().isolates` — the unified reporting surface"
-    )]
-    pub fn snapshots(&self) -> Vec<IsolateSnapshot> {
-        self.isolate_rows()
-    }
-
-    /// Builds the per-isolate accounting rows (shared by the deprecated
-    /// [`Vm::snapshots`] and [`Vm::metrics`]).
-    fn isolate_rows(&self) -> Vec<IsolateSnapshot> {
-        self.isolates
-            .iter()
-            .map(|i| IsolateSnapshot {
-                isolate: i.id,
-                name: i.name.clone(),
-                state: i.state,
-                stats: i.stats.clone(),
-            })
-            .collect()
-    }
-
     /// The unified metrics snapshot: always-on counters (vclock,
     /// migrations, GC epochs) and the per-isolate accounting rows, plus —
     /// when the flight recorder is on ([`VmOptions::trace`]) — the
@@ -1401,7 +1377,16 @@ impl Vm {
             vclock: self.vclock,
             isolate_switches: self.migrations,
             gc_epochs: self.gc_count,
-            isolates: self.isolate_rows(),
+            isolates: self
+                .isolates
+                .iter()
+                .map(|i| IsolateSnapshot {
+                    isolate: i.id,
+                    name: i.name.clone(),
+                    state: i.state,
+                    stats: i.stats.clone(),
+                })
+                .collect(),
             ..Default::default()
         };
         if let Some(ts) = &self.trace {
@@ -1603,7 +1588,7 @@ impl Vm {
         mirrors + isolates
     }
 
-    /// Estimated footprint of the quickened engine's pre-decoded
+    /// Estimated footprint of the threaded engine's pre-decoded
     /// instruction streams and side tables, across all methods that have
     /// executed at least once.
     pub fn engine_metadata_bytes(&self) -> usize {

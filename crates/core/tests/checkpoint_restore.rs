@@ -11,7 +11,7 @@
 //! `IJVM_DIFF_ENGINE` selects the engine/fusion lane and
 //! `IJVM_DIFF_ISOLATION` the isolation mode, so every engine lane also
 //! exercises checkpointing. One test additionally restores a raw-engine
-//! image under the quickened and threaded engines: images carry no
+//! image under the threaded engine, fused and unfused: images carry no
 //! prepared code, so restore *must* re-derive it lazily — if it ever
 //! serialized quickening state, the cross-engine resume would diverge.
 
@@ -22,37 +22,8 @@ use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-/// Engine/fusion lane selected by `IJVM_DIFF_ENGINE`.
-fn engine_lane() -> (EngineKind, bool) {
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("quickened") => (EngineKind::Quickened, true),
-        Ok("quickened-nofuse") => (EngineKind::Quickened, false),
-        Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
-        Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
-        Ok("raw") => (EngineKind::Raw, true),
-        _ => (EngineKind::Threaded, true),
-    }
-}
-
-/// Isolation lane selected by `IJVM_DIFF_ISOLATION`.
-fn isolation_lane() -> IsolationMode {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => IsolationMode::Shared,
-        _ => IsolationMode::Isolated,
-    }
-}
-
-fn lane_options(quantum: u32) -> VmOptions {
-    let (engine, fuse) = engine_lane();
-    let mut options = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(engine)
-    .with_superinstructions(fuse);
-    options.quantum = quantum;
-    options
-}
+mod common;
+use common::{isolation_lane, lane_options};
 
 /// One unit of a scenario.
 struct UnitSpec {
@@ -525,8 +496,8 @@ fn fork_n_serves_renamed_services_without_reinit() {
 }
 
 /// Satellite-2 regression: a checkpoint captured under the **raw**
-/// engine restores and resumes under the quickened and threaded
-/// engines (soft option — the image carries no prepared code), and the
+/// engine restores and resumes under the threaded engine, fused and
+/// unfused (soft option — the image carries no prepared code), and the
 /// resumed run is bit-identical to the uninterrupted raw run. This is
 /// exactly the "restore rebuilds `PreparedCode` lazily" guarantee: the
 /// restored unit re-quickens from scratch and still passes the engine
@@ -557,20 +528,21 @@ fn cross_engine_restore_requickens_lazily() {
     let baseline = observe(&mut outcome, std::slice::from_ref(&tids));
     let image = ticket.wait().expect("compute unit quiescent at boundary");
 
-    for engine in [EngineKind::Quickened, EngineKind::Threaded] {
-        for fuse in [false, true] {
-            let restore_options = raw.clone().with_engine(engine).with_superinstructions(fuse);
-            let resumed = resume_single(
-                &image,
-                SchedulerKind::Deterministic,
-                &tids[..],
-                Some(restore_options),
-            );
-            assert_eq!(
-                baseline, resumed,
-                "raw-engine image resumed under {engine:?}/fuse={fuse} diverged"
-            );
-        }
+    for fuse in [false, true] {
+        let restore_options = raw
+            .clone()
+            .with_engine(EngineKind::Threaded)
+            .with_superinstructions(fuse);
+        let resumed = resume_single(
+            &image,
+            SchedulerKind::Deterministic,
+            &tids[..],
+            Some(restore_options),
+        );
+        assert_eq!(
+            baseline, resumed,
+            "raw-engine image resumed under the threaded engine (fuse={fuse}) diverged"
+        );
     }
 }
 

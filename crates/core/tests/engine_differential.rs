@@ -1,18 +1,18 @@
 //! Differential tests: every program must behave identically under the
-//! raw byte interpreter, the quickened match engine, and the
-//! direct-threaded handler engine (each fused and unfused) — same
-//! results, same console output, same guest instruction counts (the
-//! budget quantum is counted per logical instruction in all engines),
-//! same exceptions, and the same resource-accounting totals.
+//! raw byte interpreter (the oracle) and the direct-threaded handler
+//! engine (fused and unfused) — same results, same console output, same
+//! guest instruction counts (the budget quantum is counted per logical
+//! instruction in both engines), same exceptions, and the same
+//! resource-accounting totals.
 //!
 //! The combinations compared are env-var selectable so CI can run them
 //! as a matrix whose job name alone attributes a per-mode failure:
 //!
 //! * `IJVM_DIFF_ISOLATION` — `shared`, `isolated`, or unset for both;
 //! * `IJVM_DIFF_ENGINE` — the candidate compared against the raw oracle:
-//!   `quickened`, `quickened-nofuse`, `threaded`, `threaded-nofuse`,
-//!   `raw` (a control lane), or unset for all four quickened/threaded
-//!   variants;
+//!   `threaded`, `threaded-nofuse`, `parallel`, `parallel-nofuse`,
+//!   `raw` (a control lane), or unset for both threaded variants; any
+//!   other value panics;
 //! * `IJVM_DIFF_TRACE` — `full` runs every *candidate* with the flight
 //!   recorder on ([`TraceConfig::Full`]) while the oracle stays
 //!   untraced, pinning the tracing layer's zero-perturbation guarantee:
@@ -62,18 +62,6 @@ fn selected_modes() -> Vec<IsolationMode> {
 /// Candidate engines selected by `IJVM_DIFF_ENGINE`.
 fn selected_candidates() -> Vec<Candidate> {
     let trace = trace_lane();
-    let quickened = Candidate {
-        engine: EngineKind::Quickened,
-        superinstructions: true,
-        cluster: false,
-        trace,
-    };
-    let quickened_nofuse = Candidate {
-        engine: EngineKind::Quickened,
-        superinstructions: false,
-        cluster: false,
-        trace,
-    };
     let threaded = Candidate {
         engine: EngineKind::Threaded,
         superinstructions: true,
@@ -87,8 +75,6 @@ fn selected_candidates() -> Vec<Candidate> {
         trace,
     };
     match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("quickened") => vec![quickened],
-        Ok("quickened-nofuse") => vec![quickened_nofuse],
         Ok("threaded") => vec![threaded],
         Ok("threaded-nofuse") => vec![threaded_nofuse],
         // Cluster lanes: the default engine driven by the parallel
@@ -110,7 +96,7 @@ fn selected_candidates() -> Vec<Candidate> {
             trace,
         }],
         Ok(other) if !other.is_empty() => panic!("bad IJVM_DIFF_ENGINE {other:?}"),
-        _ => vec![quickened, quickened_nofuse, threaded, threaded_nofuse],
+        _ => vec![threaded, threaded_nofuse],
     }
 }
 
@@ -342,7 +328,7 @@ fn interfaces_and_virtual_dispatch_agree() {
 #[test]
 fn polymorphic_virtual_calls_agree() {
     // Receivers alternate between two classes through one invokevirtual
-    // site: the quickened engine's monomorphic shape cache must go
+    // site: the threaded engine's monomorphic shape cache must go
     // polymorphic (plain vtable path) without diverging from raw.
     assert_engines_agree(
         "poly-virtual",
@@ -511,7 +497,7 @@ fn quantum_interleaving_agrees() {
 
 #[test]
 fn string_ldc_caching_agrees_across_gc_epochs() {
-    // String literals execute through the quickened/threaded engines' per-
+    // String literals execute through the threaded engine's per-
     // site (isolate, gc-epoch, ref) ldc cache. A tiny GC threshold forces
     // collections mid-loop, so the cache is filled, epoch-invalidated and
     // refilled many times — and every observation (results, per-isolate
@@ -687,126 +673,117 @@ fn terminated_isolate_invalidates_hot_virtual_site_caches() {
             static Svc remake() { return SvcFactory.make(); }
         }
     "#;
-    for engine in [EngineKind::Quickened, EngineKind::Threaded] {
-        let options = VmOptions::isolated().with_engine(engine);
-        let mut vm = ijvm_jsl::boot(options);
-        let home = vm.create_isolate("home");
-        let home_loader = vm.loader_of(home).unwrap();
-        let callee = vm.create_isolate("callee");
-        let callee_loader = vm.loader_of(callee).unwrap();
-        let callee_classes = compile_to_bytes(callee_src, &CompileEnv::new()).unwrap();
-        for (name, bytes) in &callee_classes {
-            vm.add_class_bytes(callee_loader, name, bytes.clone());
-        }
-        vm.add_loader_delegate(home_loader, callee_loader);
-        let mut cenv = CompileEnv::new();
-        for (_, bytes) in &callee_classes {
-            let cf = ijvm_classfile::reader::read_class(bytes).unwrap();
-            cenv.import_class_file(&cf).unwrap();
-        }
-        for (name, bytes) in compile_to_bytes(caller_src, &cenv).unwrap() {
-            vm.add_class_bytes(home_loader, &name, bytes);
-        }
-        let factory = vm.load_class(callee_loader, "SvcFactory").unwrap();
-        let svc = vm
-            .call_static_as(factory, "make", "()LSvc;", vec![], callee)
-            .unwrap()
-            .unwrap();
-        let Value::Ref(svc_ref) = svc else {
-            panic!("factory returned {svc}")
-        };
-        vm.pin(svc_ref);
-        let caller = vm.load_class(home_loader, "Caller").unwrap();
+    let mut vm = ijvm_jsl::boot(VmOptions::isolated());
+    let home = vm.create_isolate("home");
+    let home_loader = vm.loader_of(home).unwrap();
+    let callee = vm.create_isolate("callee");
+    let callee_loader = vm.loader_of(callee).unwrap();
+    let callee_classes = compile_to_bytes(callee_src, &CompileEnv::new()).unwrap();
+    for (name, bytes) in &callee_classes {
+        vm.add_class_bytes(callee_loader, name, bytes.clone());
+    }
+    vm.add_loader_delegate(home_loader, callee_loader);
+    let mut cenv = CompileEnv::new();
+    for (_, bytes) in &callee_classes {
+        let cf = ijvm_classfile::reader::read_class(bytes).unwrap();
+        cenv.import_class_file(&cf).unwrap();
+    }
+    for (name, bytes) in compile_to_bytes(caller_src, &cenv).unwrap() {
+        vm.add_class_bytes(home_loader, &name, bytes);
+    }
+    let factory = vm.load_class(callee_loader, "SvcFactory").unwrap();
+    let svc = vm
+        .call_static_as(factory, "make", "()LSvc;", vec![], callee)
+        .unwrap()
+        .unwrap();
+    let Value::Ref(svc_ref) = svc else {
+        panic!("factory returned {svc}")
+    };
+    vm.pin(svc_ref);
+    let caller = vm.load_class(home_loader, "Caller").unwrap();
 
-        // Heat the virtual site so its monomorphic cache is filled, and
-        // the cross-isolate static site so it fuses into a `CallSite`.
-        let warm = vm
-            .call_static_as(
-                caller,
-                "call",
-                "(LSvc;I)I",
-                vec![Value::Ref(svc_ref), Value::Int(64)],
-                home,
-            )
-            .unwrap();
-        assert_eq!(warm, Some(Value::Int((0..64).map(|i| i + 1).sum())));
-        vm.call_static_as(caller, "remake", "()LSvc;", vec![], home)
-            .unwrap();
-        let cached_sites = |vm: &Vm| -> usize {
-            vm.class(caller)
-                .methods
-                .iter()
-                .filter_map(|m| m.prepared.as_ref())
-                .flat_map(|p| {
-                    p.virt_sites
-                        .borrow()
-                        .iter()
-                        .map(|s| s.cache.borrow().is_some() as usize)
-                        .collect::<Vec<_>>()
-                })
-                .sum()
-        };
-        assert!(
-            cached_sites(&vm) > 0,
-            "[{engine:?}] the virtual site never went hot"
-        );
-
-        // Fused direct-call sites whose target lives in the callee
-        // isolate retain that isolate's bytecode through `Rc<CodeBody>`.
-        let retained_dead_code_bytes = |vm: &Vm| -> usize {
-            let callee_classes: Vec<_> = ["Svc", "SvcFactory"]
-                .iter()
-                .map(|n| vm.find_class(callee_loader, n).unwrap())
-                .collect();
-            vm.class(caller)
-                .methods
-                .iter()
-                .filter_map(|m| m.prepared.as_ref())
-                .flat_map(|p| {
-                    p.call_sites
-                        .borrow()
-                        .iter()
-                        .filter(|s| callee_classes.contains(&s.target.class))
-                        .map(|s| s.code.bytes.len())
-                        .collect::<Vec<_>>()
-                })
-                .sum()
-        };
-        assert!(
-            retained_dead_code_bytes(&vm) > 0,
-            "[{engine:?}] the static site never fused"
-        );
-
-        vm.terminate_isolate(callee).unwrap();
-        assert_eq!(
-            cached_sites(&vm),
-            0,
-            "[{engine:?}] termination must drop receiver→shape caches targeting the dead isolate"
-        );
-        assert_eq!(
-            retained_dead_code_bytes(&vm),
-            0,
-            "[{engine:?}] termination must swap fused call sites for empty-body stubs"
-        );
-
-        // Re-invoking through the previously-hot site must hit the
-        // poisoning check, not a stale cached frame shape.
-        let outcome = vm.call_static_as(
+    // Heat the virtual site so its monomorphic cache is filled, and
+    // the cross-isolate static site so it fuses into a `CallSite`.
+    let warm = vm
+        .call_static_as(
             caller,
             "call",
             "(LSvc;I)I",
-            vec![Value::Ref(svc_ref), Value::Int(4)],
+            vec![Value::Ref(svc_ref), Value::Int(64)],
             home,
-        );
-        match outcome {
-            Err(ijvm_core::VmError::UncaughtException { class_name, .. }) => {
-                assert_eq!(
-                    class_name, "org/ijvm/StoppedIsolateException",
-                    "[{engine:?}]"
-                );
-            }
-            other => panic!("[{engine:?}] expected StoppedIsolateException, got {other:?}"),
+        )
+        .unwrap();
+    assert_eq!(warm, Some(Value::Int((0..64).map(|i| i + 1).sum())));
+    vm.call_static_as(caller, "remake", "()LSvc;", vec![], home)
+        .unwrap();
+    let cached_sites = |vm: &Vm| -> usize {
+        vm.class(caller)
+            .methods
+            .iter()
+            .filter_map(|m| m.prepared.as_ref())
+            .flat_map(|p| {
+                p.virt_sites
+                    .borrow()
+                    .iter()
+                    .map(|s| s.cache.borrow().is_some() as usize)
+                    .collect::<Vec<_>>()
+            })
+            .sum()
+    };
+    assert!(cached_sites(&vm) > 0, "the virtual site never went hot");
+
+    // Fused direct-call sites whose target lives in the callee
+    // isolate retain that isolate's bytecode through `Rc<CodeBody>`.
+    let retained_dead_code_bytes = |vm: &Vm| -> usize {
+        let callee_classes: Vec<_> = ["Svc", "SvcFactory"]
+            .iter()
+            .map(|n| vm.find_class(callee_loader, n).unwrap())
+            .collect();
+        vm.class(caller)
+            .methods
+            .iter()
+            .filter_map(|m| m.prepared.as_ref())
+            .flat_map(|p| {
+                p.call_sites
+                    .borrow()
+                    .iter()
+                    .filter(|s| callee_classes.contains(&s.target.class))
+                    .map(|s| s.code.bytes.len())
+                    .collect::<Vec<_>>()
+            })
+            .sum()
+    };
+    assert!(
+        retained_dead_code_bytes(&vm) > 0,
+        "the static site never fused"
+    );
+
+    vm.terminate_isolate(callee).unwrap();
+    assert_eq!(
+        cached_sites(&vm),
+        0,
+        "termination must drop receiver→shape caches targeting the dead isolate"
+    );
+    assert_eq!(
+        retained_dead_code_bytes(&vm),
+        0,
+        "termination must swap fused call sites for empty-body stubs"
+    );
+
+    // Re-invoking through the previously-hot site must hit the
+    // poisoning check, not a stale cached frame shape.
+    let outcome = vm.call_static_as(
+        caller,
+        "call",
+        "(LSvc;I)I",
+        vec![Value::Ref(svc_ref), Value::Int(4)],
+        home,
+    );
+    match outcome {
+        Err(ijvm_core::VmError::UncaughtException { class_name, .. }) => {
+            assert_eq!(class_name, "org/ijvm/StoppedIsolateException");
         }
+        other => panic!("expected StoppedIsolateException, got {other:?}"),
     }
 }
 
@@ -828,7 +805,7 @@ const CMP_OPS: [ijvm_classfile::Opcode; 6] = [
 /// chunks. Compared to the superinstruction generator, the menu here also
 /// exercises the quickened call sites (`invokestatic` to a helper),
 /// static fields, string `ldc` (the per-site cache), and allocation (GC
-/// pressure + accounting), so all three engines' quickening transitions
+/// pressure + accounting), so the threaded engine's quickening transitions
 /// fire under random interleavings. Every branch is a short forward skip,
 /// so all programs terminate.
 fn build_random_program(ops: &[u8]) -> Vec<u8> {
@@ -960,7 +937,7 @@ fn run_random_program(
 }
 
 proptest! {
-    /// Raw vs Quickened vs Threaded (fused and unfused) over random
+    /// Raw vs Threaded (fused and unfused) over random
     /// programs, random quanta, and both isolation modes: identical
     /// results, exceptions, vclock, migrations, console, and per-isolate
     /// accounting traces.
@@ -973,19 +950,17 @@ proptest! {
         let oracle = Candidate { engine: EngineKind::Raw, superinstructions: true, cluster: false, trace: false };
         for mode in [IsolationMode::Shared, IsolationMode::Isolated] {
             let raw = run_random_program(&bytes, mode, oracle, quantum);
-            for engine in [EngineKind::Quickened, EngineKind::Threaded] {
-                for superinstructions in [true, false] {
-                    let candidate = Candidate { engine, superinstructions, cluster: false, trace: trace_lane() };
-                    let observed = run_random_program(&bytes, mode, candidate, quantum);
-                    prop_assert_eq!(
-                        &raw,
-                        &observed,
-                        "random program diverged in {:?} mode under {:?} (quantum {})",
-                        mode,
-                        candidate,
-                        quantum
-                    );
-                }
+            for superinstructions in [true, false] {
+                let candidate = Candidate { engine: EngineKind::Threaded, superinstructions, cluster: false, trace: trace_lane() };
+                let observed = run_random_program(&bytes, mode, candidate, quantum);
+                prop_assert_eq!(
+                    &raw,
+                    &observed,
+                    "random program diverged in {:?} mode under {:?} (quantum {})",
+                    mode,
+                    candidate,
+                    quantum
+                );
             }
         }
     }

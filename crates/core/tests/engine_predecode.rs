@@ -42,7 +42,7 @@ fn build_class(build: impl FnOnce(&mut ClassBuilder)) -> ClassFile {
 /// The decoded stream minus the fell-off-end guard every stream ends
 /// with (asserted separately in `streams_end_with_guard`).
 fn body_insns(p: &PreparedCode) -> Vec<XInsn> {
-    let all: Vec<XInsn> = p.insns.iter().map(|c| c.get()).collect();
+    let all: Vec<XInsn> = p.insns.to_vec();
     assert_eq!(*all.last().unwrap(), XInsn::Trap(TrapKind::FellOffEnd));
     all[..all.len() - 1].to_vec()
 }
@@ -313,8 +313,8 @@ fn golden_switches_unpack_into_side_tables() {
     });
 
     let p = predecode_method(&cf, "sel");
-    let XInsn::TableSwitch(si) = p.insns[1].get() else {
-        panic!("expected tableswitch, got {:?}", p.insns[1].get());
+    let XInsn::TableSwitch(si) = p.insns[1] else {
+        panic!("expected tableswitch, got {:?}", p.insns[1]);
     };
     let SwitchTable::Table {
         default,
@@ -331,8 +331,8 @@ fn golden_switches_unpack_into_side_tables() {
     assert_eq!(*default, 6);
 
     let p = predecode_method(&cf, "lsel");
-    let XInsn::LookupSwitch(si) = p.insns[1].get() else {
-        panic!("expected lookupswitch, got {:?}", p.insns[1].get());
+    let XInsn::LookupSwitch(si) = p.insns[1] else {
+        panic!("expected lookupswitch, got {:?}", p.insns[1]);
     };
     let SwitchTable::Lookup { default, pairs } = &p.switches[si as usize] else {
         panic!("expected lookup payload");
@@ -384,10 +384,7 @@ fn streams_end_with_guard() {
     };
     let pool = ijvm_classfile::ConstPool::new();
     let p = predecode(&body, &pool);
-    assert_eq!(
-        p.insns.last().unwrap().get(),
-        XInsn::Trap(TrapKind::FellOffEnd)
-    );
+    assert_eq!(*p.insns.last().unwrap(), XInsn::Trap(TrapKind::FellOffEnd));
     // The one-past-the-end pc resolves to the guard, so a frame suspended
     // exactly there resumes into the clean fault.
     assert_eq!(p.index_of_pc(2), Some(2));
@@ -476,28 +473,28 @@ proptest! {
         prop_assert_eq!(&fused.idx_to_pc, &plain.idx_to_pc);
         prop_assert_eq!(&fused.pc_to_idx, &plain.pc_to_idx);
 
-        for (i, cell) in fused.insns.iter().enumerate() {
-            match cell.get() {
+        for (i, &insn) in fused.insns.iter().enumerate() {
+            match insn {
                 XInsn::AddStore { a, b, c } => {
                     // The fused head must shadow exactly the plain pattern,
                     // and the tail cells must be untouched.
-                    prop_assert_eq!(plain.insns[i].get(), XInsn::Load(a));
-                    prop_assert_eq!(fused.insns[i + 1].get(), XInsn::Load(b));
-                    prop_assert_eq!(fused.insns[i + 2].get(), XInsn::Iadd);
-                    prop_assert_eq!(fused.insns[i + 3].get(), XInsn::Store(c));
+                    prop_assert_eq!(plain.insns[i], XInsn::Load(a));
+                    prop_assert_eq!(fused.insns[i + 1], XInsn::Load(b));
+                    prop_assert_eq!(fused.insns[i + 2], XInsn::Iadd);
+                    prop_assert_eq!(fused.insns[i + 3], XInsn::Store(c));
                 }
                 XInsn::FusedCmpBr(si) => {
                     let fc = fused.fused_cmps[si as usize];
-                    prop_assert_eq!(plain.insns[i].get(), XInsn::Load(fc.slot));
+                    prop_assert_eq!(plain.insns[i], XInsn::Load(fc.slot));
                     match fc.rhs {
                         CmpRhs::Const(k) => {
-                            prop_assert_eq!(fused.insns[i + 1].get(), XInsn::IConst(k))
+                            prop_assert_eq!(fused.insns[i + 1], XInsn::IConst(k))
                         }
                         CmpRhs::Local(s) => {
-                            prop_assert_eq!(fused.insns[i + 1].get(), XInsn::Load(s))
+                            prop_assert_eq!(fused.insns[i + 1], XInsn::Load(s))
                         }
                     }
-                    let XInsn::IfICmp { cmp, target } = fused.insns[i + 2].get() else {
+                    let XInsn::IfICmp { cmp, target } = fused.insns[i + 2] else {
                         prop_assert!(false, "fused tail lost its IfICmp");
                         unreachable!();
                     };
@@ -507,7 +504,7 @@ proptest! {
                     prop_assert!(fc.target != BAD_TARGET);
                     prop_assert!(fused.pc_of_index(fc.target).is_some());
                 }
-                other => prop_assert_eq!(other, plain.insns[i].get()),
+                other => prop_assert_eq!(other, plain.insns[i]),
             }
         }
     }

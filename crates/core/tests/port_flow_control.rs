@@ -16,43 +16,12 @@
 //! Crosses with the CI differential matrix via `IJVM_DIFF_ENGINE` /
 //! `IJVM_DIFF_ISOLATION` exactly like `port_messaging.rs`.
 
-use ijvm_core::engine::EngineKind;
 use ijvm_core::prelude::*;
 use ijvm_core::sched::UnitHandle;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 
-fn engine_lane() -> (EngineKind, bool) {
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("quickened") => (EngineKind::Quickened, true),
-        Ok("quickened-nofuse") => (EngineKind::Quickened, false),
-        Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
-        Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
-        Ok("raw") => (EngineKind::Raw, true),
-        _ => (EngineKind::Threaded, true),
-    }
-}
-
-fn isolation_lane() -> IsolationMode {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => IsolationMode::Shared,
-        _ => IsolationMode::Isolated,
-    }
-}
-
-fn lane_options(quantum: u32, trace: bool) -> VmOptions {
-    let (engine, fuse) = engine_lane();
-    let mut options = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(engine)
-    .with_superinstructions(fuse);
-    options.quantum = quantum;
-    if trace {
-        options.trace = TraceConfig::Full;
-    }
-    options
-}
+mod common;
+use common::{isolation_lane, lane_options};
 
 /// One unit of a scenario: a minijava program with `(I)I` entry threads.
 struct UnitSpec {
@@ -63,7 +32,11 @@ struct UnitSpec {
 }
 
 fn build_vm(spec: &UnitSpec, quantum: u32, trace: bool) -> (Vm, Vec<ThreadId>) {
-    let mut vm = ijvm_jsl::boot(lane_options(quantum, trace));
+    let mut options = lane_options(quantum);
+    if trace {
+        options.trace = TraceConfig::Full;
+    }
+    let mut vm = ijvm_jsl::boot(options);
     let iso = vm.create_isolate("unit");
     let loader = vm.loader_of(iso).unwrap();
     for (name, bytes) in compile_to_bytes(&spec.src, &CompileEnv::new()).unwrap() {

@@ -10,50 +10,18 @@
 //! is exact.
 //!
 //! The engine under test crosses with the CI differential matrix:
-//! `IJVM_DIFF_ENGINE` selects the engine/fusion lane (same values as
-//! `engine_differential.rs`) and `IJVM_DIFF_ISOLATION` the isolation
-//! mode, so every engine lane also exercises messaging.
+//! `IJVM_DIFF_ENGINE` selects the engine/fusion lane and
+//! `IJVM_DIFF_ISOLATION` the isolation mode (see `common`), so every
+//! engine lane also exercises messaging.
 
-use ijvm_core::engine::EngineKind;
 use ijvm_core::port::MSG_BASE_COST;
 use ijvm_core::prelude::*;
 use ijvm_core::sched::UnitHandle;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
 
-/// Engine/fusion lane selected by `IJVM_DIFF_ENGINE` (the cluster is
-/// always involved here, so the `parallel*` lanes map to their engines).
-fn engine_lane() -> (EngineKind, bool) {
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("quickened") => (EngineKind::Quickened, true),
-        Ok("quickened-nofuse") => (EngineKind::Quickened, false),
-        Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
-        Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
-        Ok("raw") => (EngineKind::Raw, true),
-        _ => (EngineKind::Threaded, true),
-    }
-}
-
-/// Isolation lane selected by `IJVM_DIFF_ISOLATION` (default isolated;
-/// messaging works in both modes, accounting only exists in isolated).
-fn isolation_lane() -> IsolationMode {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => IsolationMode::Shared,
-        _ => IsolationMode::Isolated,
-    }
-}
-
-fn lane_options(quantum: u32) -> VmOptions {
-    let (engine, fuse) = engine_lane();
-    let mut options = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(engine)
-    .with_superinstructions(fuse);
-    options.quantum = quantum;
-    options
-}
+mod common;
+use common::{isolation_lane, lane_options};
 
 /// One unit of a messaging scenario.
 struct UnitSpec {

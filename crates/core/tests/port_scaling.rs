@@ -21,43 +21,12 @@
 
 use std::collections::BTreeMap;
 
-use ijvm_core::engine::EngineKind;
 use ijvm_core::prelude::*;
 use ijvm_core::sched::UnitHandle;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 
-fn engine_lane() -> (EngineKind, bool) {
-    match std::env::var("IJVM_DIFF_ENGINE").as_deref() {
-        Ok("quickened") => (EngineKind::Quickened, true),
-        Ok("quickened-nofuse") => (EngineKind::Quickened, false),
-        Ok("threaded") | Ok("parallel") => (EngineKind::Threaded, true),
-        Ok("threaded-nofuse") | Ok("parallel-nofuse") => (EngineKind::Threaded, false),
-        Ok("raw") => (EngineKind::Raw, true),
-        _ => (EngineKind::Threaded, true),
-    }
-}
-
-fn isolation_lane() -> IsolationMode {
-    match std::env::var("IJVM_DIFF_ISOLATION").as_deref() {
-        Ok("shared") => IsolationMode::Shared,
-        _ => IsolationMode::Isolated,
-    }
-}
-
-fn lane_options(quantum: u32, trace: bool) -> VmOptions {
-    let (engine, fuse) = engine_lane();
-    let mut options = match isolation_lane() {
-        IsolationMode::Shared => VmOptions::shared(),
-        IsolationMode::Isolated => VmOptions::isolated(),
-    }
-    .with_engine(engine)
-    .with_superinstructions(fuse);
-    options.quantum = quantum;
-    if trace {
-        options.trace = TraceConfig::Full;
-    }
-    options
-}
+mod common;
+use common::{isolation_lane, lane_options};
 
 /// One unit of a scenario: a minijava program with `(I)I` entry threads.
 struct UnitSpec {
@@ -89,7 +58,11 @@ fn build_vm(
     quantum: u32,
     trace: bool,
 ) -> (Vm, Vec<ThreadId>) {
-    let mut vm = ijvm_jsl::boot(lane_options(quantum, trace));
+    let mut options = lane_options(quantum);
+    if trace {
+        options.trace = TraceConfig::Full;
+    }
+    let mut vm = ijvm_jsl::boot(options);
     let iso = vm.create_isolate("unit");
     let loader = vm.loader_of(iso).unwrap();
     for (name, bytes) in cache.classes_for(&spec.src) {
@@ -131,7 +104,7 @@ fn run_scenario(
     quota: Option<(u32, u64)>,
     trace: bool,
     kills: &[(usize, IsolateId, u64)],
-) -> (Vec<Observed>, Option<ClusterMetrics>, HubStats, Vec<u64>) {
+) -> (Vec<Observed>, Option<ClusterMetrics>, HubStats) {
     let mut builder = Cluster::builder().scheduler(kind).slice(slice);
     if let Some((msgs, bytes)) = quota {
         builder = builder.mailbox_quota(msgs, bytes);
@@ -152,10 +125,8 @@ fn run_scenario(
     assert_eq!(outcome.units.len(), specs.len(), "every unit must finish");
     let accounts = &outcome.accounts;
     let mut observed = Vec::new();
-    let mut slices = Vec::new();
     for (u, unit_outcome) in outcome.units.iter_mut().enumerate() {
         let report = unit_outcome.report;
-        slices.push(report.slices);
         let vm = &mut unit_outcome.vm;
         let snaps = vm.metrics().isolates;
         observed.push(Observed {
@@ -176,7 +147,7 @@ fn run_scenario(
                 .collect(),
         });
     }
-    (observed, outcome.metrics, outcome.hub_stats, slices)
+    (observed, outcome.metrics, outcome.hub_stats)
 }
 
 /// Runs a scenario under the oracle and every worker count, asserting
@@ -189,7 +160,7 @@ fn assert_modes_agree(
     quota: Option<(u32, u64)>,
     kills: &[(usize, IsolateId, u64)],
 ) -> (Vec<Observed>, ClusterMetrics) {
-    let (oracle, metrics, _, _) = run_scenario(
+    let (oracle, metrics, _) = run_scenario(
         specs,
         SchedulerKind::Deterministic,
         quantum,
@@ -205,7 +176,7 @@ fn assert_modes_agree(
         );
     }
     for workers in [1usize, 2, 4] {
-        let (parallel, _, _, _) = run_scenario(
+        let (parallel, _, _) = run_scenario(
             specs,
             SchedulerKind::Parallel(workers),
             quantum,
@@ -426,25 +397,15 @@ fn revocation_storm_during_saturation_across_modes() {
         specs.push(pair_server(p));
         specs.push(pair_client(p, flood));
     }
-    // A kill is only deliverable once the unit has run `min_slices`
-    // slices, and a converged (forever-parked) server stops slicing —
-    // so aim each kill at the server's *exact* converged slice count,
-    // measured from a kill-free oracle run. Delivery then lands at the
-    // pair's blocked fixpoint in every mode: the count is reached only
-    // on the server's final slice, after which the pair is frozen.
-    let (_, _, _, slices) = run_scenario(
-        &specs,
-        SchedulerKind::Deterministic,
-        2_000,
-        4_000,
-        Some((2, 1 << 20)),
-        false,
-        &[],
-    );
-    // Kill every even pair's server (unit index 2 * p).
+    // A server's slice count is not the same in every mode: a pickup
+    // may find one or two of its client's flood messages queued. So no
+    // slice threshold marks its converged point; instead every kill
+    // waits for the cluster to stall (`u64::MAX` slices is never
+    // reached), where each pair sits at its blocked fixpoint in every
+    // mode. Kill every even pair's server (unit index 2 * p).
     let kills: Vec<(usize, IsolateId, u64)> = (0..pairs)
         .step_by(2)
-        .map(|p| (2 * p, IsolateId(0), slices[2 * p]))
+        .map(|p| (2 * p, IsolateId(0), u64::MAX))
         .collect();
     let (oracle, metrics) = assert_modes_agree(&specs, 2_000, 4_000, Some((2, 1 << 20)), &kills);
     for p in 0..pairs {
@@ -502,7 +463,7 @@ fn hub_snapshot_reconciles_with_metrics_mid_flood() {
             thread_args: vec![1],
         },
     ];
-    let (oracle, metrics, stats, _) = run_scenario(
+    let (oracle, metrics, stats) = run_scenario(
         &specs,
         SchedulerKind::Deterministic,
         2_000,

@@ -109,14 +109,15 @@ pub fn run_pipeline(kind: SchedulerKind, items: i32) -> PipelineOutcome {
     }
 }
 
-/// The checksum the pipeline must produce for `items`, computed host-side.
+/// The checksum the pipeline must produce for `items`, computed host-side
+/// with Java `int` semantics: wrapping `+`/`*` and truncating `%`.
 pub fn expected_checksum(items: i32) -> i32 {
-    let mut acc = 0i64;
-    for i in 0..items as i64 {
-        let staged = ((acc + i) * 31 + 7) % 65536;
-        acc = (acc + staged) % 1_000_000_007;
+    let mut acc = 0i32;
+    for i in 0..items {
+        let staged = acc.wrapping_add(i).wrapping_mul(31).wrapping_add(7) % 65536;
+        acc = acc.wrapping_add(staged) % 1_000_000_007;
     }
-    acc as i32
+    acc
 }
 
 #[cfg(test)]
@@ -125,13 +126,20 @@ mod tests {
 
     #[test]
     fn pipeline_is_correct_and_mode_independent() {
-        let items = 64;
-        let oracle = run_pipeline(SchedulerKind::Deterministic, items);
-        assert_eq!(oracle.checksum, expected_checksum(items));
-        assert!(oracle.driver_cpu_exact > 0 && oracle.worker_cpu_exact > 0);
-        for workers in [1usize, 2] {
-            let parallel = run_pipeline(SchedulerKind::Parallel(workers), items);
-            assert_eq!(oracle, parallel, "Parallel({workers}) diverged");
+        // 2000 items overflow Java `int` in the fold, which a host
+        // reference computed in wider arithmetic gets wrong.
+        assert_eq!(expected_checksum(2000), 69278008);
+        for items in [64, 2000] {
+            let oracle = run_pipeline(SchedulerKind::Deterministic, items);
+            assert_eq!(oracle.checksum, expected_checksum(items));
+            assert!(oracle.driver_cpu_exact > 0 && oracle.worker_cpu_exact > 0);
+            for workers in [1usize, 2] {
+                let parallel = run_pipeline(SchedulerKind::Parallel(workers), items);
+                assert_eq!(
+                    oracle, parallel,
+                    "Parallel({workers}) diverged at {items} items"
+                );
+            }
         }
     }
 }
