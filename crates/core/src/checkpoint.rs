@@ -470,11 +470,6 @@ pub(crate) fn capture(vm: &Vm) -> Result<UnitImage, CheckpointError> {
     // capture once replies land and wake the threads).
     for t in &vm.threads {
         match t.state {
-            ThreadState::BlockedOnPort { .. } => {
-                return Err(CheckpointError::NotQuiescent(
-                    "thread parked in a cross-unit call",
-                ))
-            }
             ThreadState::BlockedOnFuture { .. } => {
                 return Err(CheckpointError::NotQuiescent(
                     "thread parked on an unresolved future",
@@ -789,10 +784,9 @@ fn enc_thread_state(out: &mut Vec<u8>, state: ThreadState) -> Result<(), Checkpo
             w_u16(out, isolate.0);
         }
         // Tags 6..=8 are reserved for the port-layer parked states, which
-        // quiescence rules out of every image.
-        ThreadState::BlockedOnPort { .. }
-        | ThreadState::BlockedOnFuture { .. }
-        | ThreadState::BlockedOnQuota => {
+        // quiescence rules out of every image (6 was the retired blocking
+        // call state; a call now parks on a hidden future).
+        ThreadState::BlockedOnFuture { .. } | ThreadState::BlockedOnQuota => {
             return Err(CheckpointError::NotQuiescent(
                 "thread parked on the port layer",
             ))

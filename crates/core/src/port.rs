@@ -13,10 +13,20 @@
 //!   unit A (caller)                hub                unit B (exporter)
 //!   ─────────────────          ──────────          ─────────────────────
 //!   Service.call ──serialize──▶ mailbox[B] ──drain──▶ pump thread runs
-//!     thread blocks             (woken: B)            handler.handle(arg)
-//!     (BlockedOnPort)                                     │ return
+//!     thread parks on a         (woken: B)            handler.handle(arg)
+//!     hidden future                                       │ return
 //!   resume ◀──deserialize── mailbox[A] ◀──serialize──────┘
 //! ```
+//!
+//! **One request path.** `Service.call`, `Service.post` and `Port.send`
+//! share one routine (`port_request`): it routes the serialized
+//! argument through the hub or onto a local pump, and it handles
+//! admission, the quota park and revocation. The three differ only in
+//! the future the reply resolves. `call` opens a *hidden* future (no
+//! guest object) and its thread waits on it, exactly as `Future.get`
+//! would. `post` hands its future to the guest as an `ijvm/Future`.
+//! `send` has no future. Replies route by call id to a future id, and
+//! an interrupt or an isolate's termination detaches waiters by one rule.
 //!
 //! **Host-side registry.** The `PortHub` (crate-private; embedders see
 //! the read-only [`HubStats`] snapshot) is shared by every unit of one
@@ -147,9 +157,6 @@ pub(crate) enum Envelope {
 /// One exported service as the hub sees it.
 #[derive(Debug)]
 struct HubService {
-    /// Isolate that owns (and is accountable for) the service.
-    #[allow(dead_code)]
-    isolate: IsolateId,
     /// Set by isolate termination: calls fail with `ServiceRevoked`.
     revoked: bool,
 }
@@ -402,16 +409,14 @@ impl PortHub {
     /// admission check (their senders are already blocked on the reply)
     /// but are still accounted, so the destination sheds new load until
     /// it works through them.
-    pub(crate) fn export(&self, unit: UnitId, name: Arc<str>, isolate: IsolateId) {
+    pub(crate) fn export(&self, unit: UnitId, name: Arc<str>) {
         let routed: Vec<Envelope> = {
             let mut shard = self.registry[shard_of(&name)].lock().unwrap();
-            shard.services.entry(Arc::clone(&name)).or_default().insert(
-                unit,
-                HubService {
-                    isolate,
-                    revoked: false,
-                },
-            );
+            shard
+                .services
+                .entry(Arc::clone(&name))
+                .or_default()
+                .insert(unit, HubService { revoked: false });
             let pending = std::mem::take(&mut shard.unresolved);
             let mut routed = Vec::new();
             for (n, filter, env) in pending {
@@ -894,23 +899,20 @@ struct Pump {
     current: Option<CurrentCall>,
 }
 
-/// Who consumes a reply, routed by request id: a thread parked in the
-/// blocking `Service.call`, or a pending future created by
-/// `Service.post` (whose owner may be off running something else).
-#[derive(Debug, Clone, Copy)]
-enum Waiter {
-    Thread(ThreadId),
-    Future(u32),
-}
-
-/// A guest-visible future (`ijvm/Future`), created by `Service.post`.
-/// The guest object carries only the id; all state lives here.
+/// The consumer of one reply. A guest-visible future (`ijvm/Future`,
+/// created by `Service.post`) carries only its id; all state lives here.
+/// A blocking `Service.call` opens a *hidden* one that no guest object
+/// refers to, and its thread waits on it like a `Future.get`.
 #[derive(Debug)]
 struct FutureState {
     /// Isolate that created the future. Terminating it revokes the
     /// future deterministically (the late reply is dropped).
     owner: IsolateId,
-    /// A thread parked in `get`, with the payload kind its overload
+    /// `true` for a `Service.call`'s future: its send and reply trace as
+    /// `CallSend`/`ReplyDeliver`, and it lives only as long as its
+    /// waiter does.
+    hidden: bool,
+    /// A thread parked on the future, with the payload kind its overload
     /// decodes (`get` = int, `getObject` = object graph).
     waiter: Option<(ThreadId, PayloadKind)>,
     slot: FutureSlot,
@@ -938,28 +940,12 @@ struct PendingSend {
     name: Arc<str>,
     kind: PayloadKind,
     bytes: Vec<u8>,
-    mode: SendMode,
+    /// The future the reply resolves; `None` for a one-way send.
+    future: Option<u32>,
     /// The destination whose quota parked this send (where the waiter
     /// registration lives), so retry sweeps and park re-checks stay
     /// shard-local instead of scanning every mailbox.
     parked_dest: u32,
-}
-
-/// What a [`PendingSend`] resumes as once admitted.
-#[derive(Debug, Clone, Copy)]
-enum SendMode {
-    /// Blocking `Service.call`: on admission the thread rolls over into
-    /// `BlockedOnPort`, still parked, awaiting the reply.
-    Call,
-    /// `Service.post`: the future ref is already on the sender's operand
-    /// stack; admission wires the call id to the future and wakes the
-    /// sender.
-    Post {
-        /// The future handed back by the parked `post`.
-        future: u32,
-    },
-    /// `Port.send`: fire-and-forget; admission just wakes the sender.
-    Oneway,
 }
 
 /// Per-VM port state: the cluster attachment, the service pumps this VM
@@ -975,14 +961,18 @@ pub(crate) struct PortState {
     /// locks the hub's mailbox table for its own mail.
     own_box: Option<Arc<Mailbox>>,
     pumps: BTreeMap<Arc<str>, Pump>,
-    /// Reply routing by call id. Hot path (touched per call/reply), so
-    /// it stays a HashMap.
+    /// Reply routing: call id → future id. A route outlives a dropped
+    /// future (cancelled, revoked, or a call whose waiter was
+    /// interrupted) until its late reply lands and is discarded, so the
+    /// unit stays alive to absorb it. Hot path (touched per
+    /// call/reply), so it stays a HashMap.
     // lint: allow(determinism) — keyed insert/remove only, never
     // iterated, so hash order is unobservable.
-    waiting: HashMap<u64, Waiter>,
-    /// Live futures by id (the guest object's `id` field). Hot path.
-    // lint: allow(determinism) — keyed access; the one iteration
-    // (port_revoke_isolate) sorts the collected ids before acting.
+    waiting: HashMap<u64, u32>,
+    /// Live futures by id (the guest object's `id` field; hidden call
+    /// futures have no guest object). Hot path.
+    // lint: allow(determinism) — keyed access; the one whole-map pass
+    // (port_revoke_isolate's retain) only removes, so order is unobservable.
     futures: HashMap<u32, FutureState>,
     /// Future-id allocator.
     next_future: u32,
@@ -1056,8 +1046,8 @@ impl Vm {
     /// already-exported service into the hub registry. Called by
     /// [`crate::sched::Cluster::submit`].
     pub(crate) fn attach_port(&mut self, unit: UnitId, hub: Arc<PortHub>) {
-        for (name, pump) in &self.port.pumps {
-            hub.export(unit, Arc::clone(name), pump.isolate);
+        for name in self.port.pumps.keys() {
+            hub.export(unit, Arc::clone(name));
         }
         if let Some(ts) = self.trace.as_mut() {
             ts.unit = crate::trace::clamp_id(unit.index());
@@ -1156,23 +1146,15 @@ impl Vm {
             let Some(ps) = self.port.pending_sends.pop_front() else {
                 break;
             };
-            let PendingSend {
-                thread: tid,
-                target,
-                name,
-                kind,
-                bytes,
-                mode,
-                parked_dest: _,
-            } = ps;
-            // The parked thread was interrupted or terminated meanwhile:
-            // the send is abandoned.
+            let tid = ps.thread;
+            // Interrupts and termination take their sends out
+            // (`port_unpark`); this guards any other way out of the park.
             if self.threads[tid.0 as usize].state != ThreadState::BlockedOnQuota {
                 continue;
             }
             let iso = self.threads[tid.0 as usize].current_isolate;
-            let oneway = matches!(mode, SendMode::Oneway);
-            match hub.send_request(unit, target, &name, kind, bytes, oneway) {
+            let oneway = ps.future.is_none();
+            match hub.send_request(unit, ps.target, &ps.name, ps.kind, ps.bytes, oneway) {
                 Ok(SendOutcome::Sent(call)) => {
                     self.trace_emit(
                         crate::trace::EventKind::QuotaUnpark,
@@ -1180,70 +1162,26 @@ impl Vm {
                         Some(tid),
                         call,
                     );
-                    match mode {
-                        SendMode::Call => {
-                            self.port.waiting.insert(call, Waiter::Thread(tid));
-                            self.threads[tid.0 as usize].state =
-                                ThreadState::BlockedOnPort { call };
-                            self.trace_call_send(call, iso, tid, crate::trace::EventKind::CallSend);
-                        }
-                        SendMode::Post { future } => {
-                            if let Some(f) = self.port.futures.get_mut(&future) {
-                                if matches!(f.slot, FutureSlot::Pending { .. }) {
-                                    f.slot = FutureSlot::Pending { call };
-                                }
-                            }
-                            self.port.waiting.insert(call, Waiter::Future(future));
-                            self.trace_call_send(
-                                call,
-                                iso,
-                                tid,
-                                crate::trace::EventKind::FuturePost,
-                            );
-                            self.wake(tid);
-                        }
-                        SendMode::Oneway => {
-                            self.trace_emit(
-                                crate::trace::EventKind::OnewaySend,
-                                Some(iso),
-                                Some(tid),
-                                call,
-                            );
-                            self.wake(tid);
-                        }
+                    if !admit(self, tid, iso, call, ps.future) {
+                        self.wake(tid);
                     }
                 }
                 Ok(SendOutcome::OverQuota { bytes, dest }) => {
                     self.port.pending_sends.push_back(PendingSend {
-                        thread: tid,
-                        target,
-                        name,
-                        kind,
                         bytes,
-                        mode,
                         parked_dest: dest,
+                        ..ps
                     });
                 }
                 Err(SendError::Revoked) => {
-                    let msg = format!("service '{name}' revoked: isolate terminated");
-                    match mode {
-                        SendMode::Call => {
-                            let ex = crate::interp::alloc_exception(
-                                self,
-                                tid,
-                                SERVICE_REVOKED_EXCEPTION,
-                                &msg,
-                            );
-                            self.threads[tid.0 as usize].pending_exception = Some(ex);
-                        }
-                        SendMode::Post { future } => {
-                            if let Some(f) = self.port.futures.get_mut(&future) {
-                                if matches!(f.slot, FutureSlot::Pending { .. }) {
-                                    f.slot = FutureSlot::Ready(Err(ReplyError::Revoked(msg)));
-                                }
-                            }
-                        }
-                        SendMode::Oneway => {} // dropped silently, like port_send
+                    if let Some(msg) = send_revoked(self, &ps.name, ps.future) {
+                        let ex = crate::interp::alloc_exception(
+                            self,
+                            tid,
+                            SERVICE_REVOKED_EXCEPTION,
+                            &msg,
+                        );
+                        self.threads[tid.0 as usize].pending_exception = Some(ex);
                     }
                     self.wake(tid);
                 }
@@ -1273,11 +1211,10 @@ impl Vm {
     /// Revokes every service exported by `iso`: replies `ServiceRevoked`
     /// to its pending and queued calls, marks the hub entries revoked,
     /// and retires idle pump threads (busy ones die with the isolate's
-    /// `StoppedIsolateException`). Also revokes the isolate's pending
-    /// futures — their reply routing is dropped so late replies are
-    /// discarded — and abandons its quota-parked sends (their threads
-    /// already took the termination exception). Called by isolate
-    /// termination.
+    /// `StoppedIsolateException`). Also drops the isolate's futures; their
+    /// routes stay until the late replies land and are discarded. Called
+    /// by isolate termination, after `port_unpark` detached the
+    /// isolate's parked threads.
     pub(crate) fn port_revoke_isolate(&mut self, iso: IsolateId) {
         let names: Vec<Arc<str>> = self
             .port
@@ -1289,34 +1226,44 @@ impl Vm {
         for name in names {
             revoke_pump(self, &name);
         }
-        let mut dead: Vec<u32> = self
-            .port
-            .futures
-            .iter()
-            .filter(|(_, f)| f.owner == iso)
-            .map(|(id, _)| *id)
-            .collect();
-        // Collected from a HashMap: sort so the processing order (and
-        // anything it may ever feed) is independent of hash order.
-        dead.sort_unstable();
-        for fid in dead {
-            if let Some(f) = self.port.futures.remove(&fid) {
-                if let FutureSlot::Pending { call } = f.slot {
-                    self.port.waiting.remove(&call);
+        // Keyed removal only, so the HashMap's order is unobservable.
+        self.port.futures.retain(|_, f| f.owner != iso);
+    }
+
+    /// Detaches `tid` from the port layer before an interrupt, or its
+    /// isolate's termination, pulls it out of a port park. This is the
+    /// one rule for every waiter. A thread parked in `Future.get` is
+    /// detached from the future, so a later `get` may wait on it again.
+    /// A thread parked on quota abandons its send. A blocking call's
+    /// hidden future has no other consumer, so it is dropped; its route
+    /// stays until the late reply lands and is discarded.
+    pub(crate) fn port_unpark(&mut self, tid: ThreadId) {
+        let future = match self.threads[tid.0 as usize].state {
+            ThreadState::BlockedOnFuture { future } => Some(future),
+            ThreadState::BlockedOnQuota => {
+                let i = self.port.pending_sends.iter().position(|p| p.thread == tid);
+                let abandoned = i.and_then(|i| self.port.pending_sends.remove(i));
+                // The retry sweep clears this unit's hub waiter pairs only
+                // when it has sends left to re-register; if this was the
+                // last one, drop the stale pairs here or an admitting
+                // destination would keep waking this unit.
+                if self.port.pending_sends.is_empty() {
+                    if let Some((unit, hub)) = self.port.attach.as_ref() {
+                        hub.clear_quota_waits(*unit);
+                    }
                 }
+                abandoned.and_then(|p| p.future)
             }
-        }
-        let threads = &self.threads;
-        self.port
-            .pending_sends
-            .retain(|ps| threads[ps.thread.0 as usize].state == ThreadState::BlockedOnQuota);
-        // The retry sweep only clears this unit's hub waiter pairs when
-        // it has pending sends left to re-register; if the revocation
-        // just abandoned the last one, drop the stale pairs here or an
-        // admitting destination would requeue this unit forever.
-        if self.port.pending_sends.is_empty() {
-            if let Some((unit, hub)) = self.port.attach.clone() {
-                hub.clear_quota_waits(unit);
+            _ => None,
+        };
+        let Some(fid) = future else {
+            return;
+        };
+        if let Some(f) = self.port.futures.get_mut(&fid) {
+            if f.hidden {
+                self.port.futures.remove(&fid);
+            } else if f.waiter.is_some_and(|(w, _)| w == tid) {
+                f.waiter = None;
             }
         }
     }
@@ -1345,8 +1292,8 @@ impl Vm {
     /// parked ones probe only the destinations they are parked on.
     /// Sound because waiter registrations are created together with
     /// their `PendingSend` (at its `parked_dest`) and cleared by the
-    /// retry sweep or, when revocation abandons the last send, by
-    /// `port_revoke_isolate`.
+    /// retry sweep or, when an interrupt or termination abandons the
+    /// last send, by `port_unpark`.
     pub(crate) fn port_retry_ready(&self) -> bool {
         if self.port.pending_sends.is_empty() {
             return false;
@@ -1498,6 +1445,7 @@ impl Vm {
                 f.id,
                 FutureState {
                     owner: IsolateId(f.owner),
+                    hidden: false,
                     waiter: None,
                     slot: match f.slot {
                         FutureSlotImage::Ready(r) => FutureSlot::Ready(r),
@@ -1746,72 +1694,19 @@ fn send_reply(
     }
 }
 
-/// Routes an incoming reply by request id: to the thread parked in
-/// `Service.call`, or to the pending future the caller is pipelining on.
-/// Stale replies — the waiter was cancelled, interrupted or its isolate
-/// terminated meanwhile — are dropped.
+/// Routes an incoming reply by request id to its future. Late replies —
+/// the future was cancelled, its waiter interrupted or its isolate
+/// terminated meanwhile — find no pending future and are dropped.
 fn deliver_reply(vm: &mut Vm, call: u64, result: Result<(PayloadKind, Vec<u8>), ReplyError>) {
-    let Some(waiter) = vm.port.waiting.remove(&call) else {
-        return;
-    };
-    match waiter {
-        Waiter::Thread(tid) => deliver_to_thread(vm, call, tid, result),
-        Waiter::Future(fid) => resolve_future(vm, call, fid, result),
+    if let Some(fid) = vm.port.waiting.remove(&call) {
+        resolve_future(vm, call, fid, result);
     }
-}
-
-/// Completes a waiting `Service.call`: pushes the deserialized result on
-/// the caller's operand stack (or installs the failure as a pending
-/// exception) and wakes the thread.
-fn deliver_to_thread(
-    vm: &mut Vm,
-    call: u64,
-    tid: ThreadId,
-    result: Result<(PayloadKind, Vec<u8>), ReplyError>,
-) {
-    let t = tid.0 as usize;
-    if vm.threads[t].state != (ThreadState::BlockedOnPort { call }) {
-        return; // the caller already moved on (interrupt, termination)
-    }
-    vm.trace_reply_deliver(call, tid, crate::trace::EventKind::ReplyDeliver);
-    match result {
-        Ok((_, bytes)) => {
-            let iso = vm.threads[t].current_isolate;
-            let loader = vm.isolates[iso.0 as usize].loader;
-            match crate::wire::deserialize_value(vm, &bytes, iso, loader) {
-                Ok(v) => {
-                    vm.threads[t]
-                        .top_frame_mut()
-                        .expect("caller frame survives the call")
-                        .stack
-                        .push(v);
-                }
-                Err(e) => {
-                    let ex = crate::interp::alloc_exception(
-                        vm,
-                        tid,
-                        "java/lang/RuntimeException",
-                        &format!("service reply decode failed: {e}"),
-                    );
-                    vm.threads[t].pending_exception = Some(ex);
-                }
-            }
-        }
-        Err(ReplyError::Revoked(msg)) => {
-            let ex = crate::interp::alloc_exception(vm, tid, SERVICE_REVOKED_EXCEPTION, &msg);
-            vm.threads[t].pending_exception = Some(ex);
-        }
-        Err(ReplyError::Failed(msg)) => {
-            let ex = crate::interp::alloc_exception(vm, tid, "java/lang/RuntimeException", &msg);
-            vm.threads[t].pending_exception = Some(ex);
-        }
-    }
-    vm.wake(tid);
 }
 
 /// A reply arrived for a pending future: store it, and if a thread is
-/// parked in `get`, complete that `get` in place (push the decoded value
-/// or install the failure) and wake it.
+/// parked in `get` (or in the `Service.call` behind a hidden future),
+/// complete that wait in place (push the decoded value or install the
+/// failure) and wake it.
 fn resolve_future(
     vm: &mut Vm,
     call: u64,
@@ -1825,9 +1720,14 @@ fn resolve_future(
         return;
     }
     f.slot = FutureSlot::Ready(result);
+    let event = if f.hidden {
+        crate::trace::EventKind::ReplyDeliver
+    } else {
+        crate::trace::EventKind::FutureResolve
+    };
     let waiter = f.waiter.take();
     let trace_tid = waiter.map(|(t, _)| t).unwrap_or(ThreadId(u32::MAX));
-    vm.trace_reply_deliver(call, trace_tid, crate::trace::EventKind::FutureResolve);
+    vm.trace_reply_deliver(call, trace_tid, event);
     if let Some((tid, expected)) = waiter {
         if vm.threads[tid.0 as usize].state == (ThreadState::BlockedOnFuture { future: fid }) {
             match consume_ready(vm, tid, fid, expected) {
@@ -1862,11 +1762,11 @@ enum GetOutcome {
     },
 }
 
-/// Consumes a `Ready` future for a `get`/`getObject`: decodes the value
-/// into the getter's isolate, or maps the failure to the same exceptions
-/// the blocking `Service.call` raises. A payload-kind mismatch (`get` on
-/// an object future, or vice versa) throws *without* consuming, so the
-/// correctly-typed getter still works.
+/// Consumes a `Ready` future for a `get`/`getObject` or a blocking
+/// `Service.call`: decodes the value into the waiter's isolate, or maps
+/// the failure to the guest exception it raises. A payload-kind
+/// mismatch (`get` on an object future, or vice versa) throws *without*
+/// consuming, so the correctly-typed getter still works.
 fn consume_ready(vm: &mut Vm, tid: ThreadId, fid: u32, expected: PayloadKind) -> GetOutcome {
     {
         let f = &vm.port.futures[&fid];
@@ -2165,7 +2065,7 @@ fn do_export(vm: &mut Vm, iso: IsolateId, name: &str, handler: GcRef) -> Result<
         i.exported_ports.push(name.to_owned());
     }
     if let Some((unit, hub)) = vm.port.attach.clone() {
-        hub.export(unit, name_arc, iso);
+        hub.export(unit, name_arc);
     }
     vm.trace_emit(
         crate::trace::EventKind::ServiceExport,
@@ -2190,185 +2090,213 @@ fn export_error_to_native(err: ExportError) -> NativeResult {
     }
 }
 
-/// Parks a sender whose destination is over quota: the serialized (and
-/// already-charged) payload moves into the pending-send queue and the
-/// thread blocks until the hub admits the retry.
-#[allow(clippy::too_many_arguments)]
-fn park_on_quota(
-    vm: &mut Vm,
-    tid: ThreadId,
-    iso: IsolateId,
-    target: Option<UnitId>,
-    name: &str,
-    kind: PayloadKind,
-    bytes: Vec<u8>,
-    mode: SendMode,
-    dest: u32,
-) {
-    vm.trace_emit(
-        crate::trace::EventKind::QuotaPark,
-        Some(iso),
-        Some(tid),
-        bytes.len() as u64,
-    );
-    vm.port.pending_sends.push_back(PendingSend {
-        thread: tid,
-        target,
-        name: Arc::from(name),
-        kind,
-        bytes,
-        mode,
-        parked_dest: dest,
-    });
-    vm.threads[tid.0 as usize].state = ThreadState::BlockedOnQuota;
-}
-
-/// The blocking `Service.call` path: serializes the argument (caller
-/// pays), routes the request, and parks the calling thread until the
-/// reply is delivered.
-fn port_call(
-    vm: &mut Vm,
-    tid: ThreadId,
-    target: Option<UnitId>,
-    name: &str,
-    kind: PayloadKind,
-    payload: Value,
-) -> NativeResult {
+/// Serializes a request argument. The sending isolate pays for the
+/// copy, once, whatever becomes of the request.
+fn encode(vm: &mut Vm, tid: ThreadId, payload: Value) -> Vec<u8> {
     let iso = vm.threads[tid.0 as usize].current_isolate;
     let mut bytes = Vec::with_capacity(32);
     crate::wire::serialize_value(vm, payload, &mut bytes);
     charge_copy(vm, iso, bytes.len());
-    let revoked = || NativeResult::Throw {
-        class_name: SERVICE_REVOKED_EXCEPTION,
-        message: format!("service '{name}' revoked: isolate terminated"),
-    };
-    if let Some((unit, hub)) = vm.port.attach.clone() {
-        match hub.send_request(unit, target, name, kind, bytes, false) {
-            Ok(SendOutcome::Sent(call)) => {
-                vm.port.waiting.insert(call, Waiter::Thread(tid));
-                vm.threads[tid.0 as usize].state = ThreadState::BlockedOnPort { call };
-                vm.trace_call_send(call, iso, tid, crate::trace::EventKind::CallSend);
-                NativeResult::BlockPending
-            }
-            Ok(SendOutcome::OverQuota { bytes, dest }) => {
-                park_on_quota(
-                    vm,
-                    tid,
-                    iso,
-                    target,
-                    name,
-                    kind,
-                    bytes,
-                    SendMode::Call,
-                    dest,
-                );
-                NativeResult::BlockPending
-            }
-            Err(SendError::Revoked) => revoked(),
-        }
-    } else {
+    bytes
+}
+
+/// Opens a pending future for a request by `tid`. A `Service.call`
+/// passes the payload kind it decodes: its future is hidden and `tid`
+/// is registered as the waiter.
+fn open_future(vm: &mut Vm, tid: ThreadId, call: Option<PayloadKind>) -> u32 {
+    let fid = vm.port.alloc_future();
+    vm.port.futures.insert(
+        fid,
+        FutureState {
+            owner: vm.threads[tid.0 as usize].current_isolate,
+            hidden: call.is_some(),
+            waiter: call.map(|kind| (tid, kind)),
+            slot: FutureSlot::Pending { call: 0 },
+        },
+    );
+    fid
+}
+
+/// The one request path behind `Service.call`, `Service.post` and
+/// `Port.send`. It routes the serialized argument through the hub when
+/// the VM is attached, handling admission, the quota park and
+/// revocation, and straight onto the local pump otherwise. `future`
+/// receives the reply (`None` for a one-way send) and is dropped when
+/// the request fails here. Returns `Ok(true)` when the sender parked on
+/// the destination's quota.
+fn port_request(
+    vm: &mut Vm,
+    tid: ThreadId,
+    target: Option<UnitId>,
+    name: Arc<str>,
+    kind: PayloadKind,
+    bytes: Vec<u8>,
+    future: Option<u32>,
+) -> Result<bool, NativeResult> {
+    let iso = vm.threads[tid.0 as usize].current_isolate;
+    let Some((unit, hub)) = vm.port.attach.clone() else {
         // Unattached VM: only services exported by this same VM are
         // reachable, and an absent one can never appear "later".
-        if target.is_some() {
-            return NativeResult::Throw {
-                class_name: "java/lang/IllegalStateException",
-                message: "Service.callAt requires the VM to run in a cluster".to_owned(),
-            };
-        }
-        if !vm.port.pumps.contains_key(name) {
-            return NativeResult::Throw {
-                class_name: "java/lang/IllegalStateException",
-                message: format!("no service '{name}' (VM not attached to a cluster)"),
-            };
-        }
-        let call = vm.port.alloc_local_call();
-        vm.port.waiting.insert(call, Waiter::Thread(tid));
-        vm.threads[tid.0 as usize].state = ThreadState::BlockedOnPort { call };
-        vm.trace_call_send(call, iso, tid, crate::trace::EventKind::CallSend);
-        let name_arc: Arc<str> = Arc::from(name);
-        vm.pump_enqueue(
-            &name_arc,
-            ReadyRequest {
+        if target.is_none() && vm.port.pumps.contains_key(&name) {
+            let call = vm.port.alloc_local_call();
+            admit(vm, tid, iso, call, future);
+            let req = ReadyRequest {
                 call,
                 reply_to: ReplyTo::Local,
                 kind,
                 bytes,
-                oneway: false,
-            },
-        );
-        NativeResult::BlockPending
+                oneway: future.is_none(),
+            };
+            vm.pump_enqueue(&name, req);
+            return Ok(false);
+        }
+        let message = if target.is_some() {
+            let call = future.is_some_and(|f| vm.port.futures[&f].hidden);
+            let native = if call { "callAt" } else { "postAt" };
+            format!("Service.{native} requires the VM to run in a cluster")
+        } else {
+            format!("no service '{name}' (VM not attached to a cluster)")
+        };
+        if let Some(fid) = future {
+            vm.port.futures.remove(&fid);
+        }
+        return Err(NativeResult::Throw {
+            class_name: "java/lang/IllegalStateException",
+            message,
+        });
+    };
+    match hub.send_request(unit, target, &name, kind, bytes, future.is_none()) {
+        Ok(SendOutcome::Sent(call)) => {
+            admit(vm, tid, iso, call, future);
+            Ok(false)
+        }
+        Ok(SendOutcome::OverQuota { bytes, dest }) => {
+            // The payload is already charged; only the admission is
+            // retried, at quantum-boundary drains.
+            vm.trace_emit(
+                crate::trace::EventKind::QuotaPark,
+                Some(iso),
+                Some(tid),
+                bytes.len() as u64,
+            );
+            vm.port.pending_sends.push_back(PendingSend {
+                thread: tid,
+                target,
+                name,
+                kind,
+                bytes,
+                future,
+                parked_dest: dest,
+            });
+            vm.threads[tid.0 as usize].state = ThreadState::BlockedOnQuota;
+            Ok(true)
+        }
+        Err(SendError::Revoked) => match send_revoked(vm, &name, future) {
+            Some(message) => Err(NativeResult::Throw {
+                class_name: SERVICE_REVOKED_EXCEPTION,
+                message,
+            }),
+            None => {
+                if future.is_some() {
+                    vm.trace_call_send(0, iso, tid, crate::trace::EventKind::FuturePost);
+                }
+                Ok(false)
+            }
+        },
     }
 }
 
-/// The one-way `Port.send` path: fire-and-forget; a revoked target drops
-/// the message silently.
-fn port_send(
-    vm: &mut Vm,
-    tid: ThreadId,
-    name: &str,
-    kind: PayloadKind,
-    payload: Value,
-) -> NativeResult {
-    let iso = vm.threads[tid.0 as usize].current_isolate;
-    let mut bytes = Vec::with_capacity(32);
-    crate::wire::serialize_value(vm, payload, &mut bytes);
-    charge_copy(vm, iso, bytes.len());
-    if let Some((unit, hub)) = vm.port.attach.clone() {
-        match hub.send_request(unit, None, name, kind, bytes, true) {
-            Ok(SendOutcome::Sent(call)) => {
-                vm.trace_emit(
-                    crate::trace::EventKind::OnewaySend,
-                    Some(iso),
-                    Some(tid),
-                    call,
-                );
-                NativeResult::Return(None)
-            }
-            Ok(SendOutcome::OverQuota { bytes, dest }) => {
-                // Fire-and-forget still backpressures: the flooder parks
-                // (already charged) instead of growing the victim's
-                // mailbox. `send` returns void, so nothing is pushed.
-                park_on_quota(
-                    vm,
-                    tid,
-                    iso,
-                    None,
-                    name,
-                    kind,
-                    bytes,
-                    SendMode::Oneway,
-                    dest,
-                );
-                NativeResult::BlockReturn(None)
-            }
-            Err(SendError::Revoked) => NativeResult::Return(None),
-        }
-    } else {
-        if !vm.port.pumps.contains_key(name) {
-            return NativeResult::Throw {
-                class_name: "java/lang/IllegalStateException",
-                message: format!("no service '{name}' (VM not attached to a cluster)"),
-            };
-        }
-        let call = vm.port.alloc_local_call();
+/// Wires an admitted request's reply route to its future and traces the
+/// send. Returns `true` when the sender waits on that future (a blocking
+/// call, whose thread now parks in `BlockedOnFuture`) and `false` when
+/// it runs on.
+fn admit(vm: &mut Vm, tid: ThreadId, iso: IsolateId, call: u64, future: Option<u32>) -> bool {
+    let Some(fid) = future else {
         vm.trace_emit(
             crate::trace::EventKind::OnewaySend,
             Some(iso),
             Some(tid),
             call,
         );
-        let name_arc: Arc<str> = Arc::from(name);
-        vm.pump_enqueue(
-            &name_arc,
-            ReadyRequest {
-                call,
-                reply_to: ReplyTo::Local,
-                kind,
-                bytes,
-                oneway: true,
-            },
-        );
-        NativeResult::Return(None)
+        return false;
+    };
+    vm.port.waiting.insert(call, fid);
+    let (hidden, waits) = match vm.port.futures.get_mut(&fid) {
+        Some(f) => {
+            if matches!(f.slot, FutureSlot::Pending { .. }) {
+                f.slot = FutureSlot::Pending { call };
+            }
+            (f.hidden, f.waiter.is_some_and(|(w, _)| w == tid))
+        }
+        None => (false, false),
+    };
+    let event = if hidden {
+        crate::trace::EventKind::CallSend
+    } else {
+        crate::trace::EventKind::FuturePost
+    };
+    vm.trace_call_send(call, iso, tid, event);
+    if waits {
+        vm.threads[tid.0 as usize].state = ThreadState::BlockedOnFuture { future: fid };
+    }
+    waits
+}
+
+/// A send found every matching export revoked. A post's future resolves
+/// to the revocation, so its `get` throws, and a one-way send is dropped
+/// silently. A blocking call's hidden future is dropped instead, and the
+/// message of the `ServiceRevokedException` its caller raises comes back.
+fn send_revoked(vm: &mut Vm, name: &str, future: Option<u32>) -> Option<String> {
+    let fid = future?;
+    let msg = format!("service '{name}' revoked: isolate terminated");
+    let f = vm.port.futures.get_mut(&fid)?;
+    if f.hidden {
+        vm.port.futures.remove(&fid);
+        return Some(msg);
+    }
+    if matches!(f.slot, FutureSlot::Pending { .. }) {
+        f.slot = FutureSlot::Ready(Err(ReplyError::Revoked(msg)));
+    }
+    None
+}
+
+/// The shape of the three request natives: `(target, name, kind, payload)`.
+type RequestFn =
+    fn(&mut Vm, ThreadId, Option<UnitId>, Arc<str>, PayloadKind, Value) -> NativeResult;
+
+/// `Service.call`/`callAt`: a post whose hidden future the caller waits
+/// on at once. The thread parks until the reply resolves it.
+fn service_call(
+    vm: &mut Vm,
+    tid: ThreadId,
+    target: Option<UnitId>,
+    name: Arc<str>,
+    kind: PayloadKind,
+    payload: Value,
+) -> NativeResult {
+    let bytes = encode(vm, tid, payload);
+    let fid = open_future(vm, tid, Some(kind));
+    match port_request(vm, tid, target, name, kind, bytes, Some(fid)) {
+        Ok(_) => NativeResult::BlockPending,
+        Err(e) => e,
+    }
+}
+
+/// `Port.send`: fire-and-forget; a revoked target drops the message
+/// silently. A flooder still parks on the destination's quota.
+fn port_send(
+    vm: &mut Vm,
+    tid: ThreadId,
+    target: Option<UnitId>,
+    name: Arc<str>,
+    kind: PayloadKind,
+    payload: Value,
+) -> NativeResult {
+    let bytes = encode(vm, tid, payload);
+    match port_request(vm, tid, target, name, kind, bytes, None) {
+        Ok(false) => NativeResult::Return(None),
+        Ok(true) => NativeResult::BlockReturn(None),
+        Err(e) => e,
     }
 }
 
@@ -2415,118 +2343,33 @@ fn future_id(vm: &Vm, recv: Value) -> Result<u32, NativeResult> {
     }
 }
 
-/// The pipelining `Service.post` path: serializes and charges like
-/// `call`, but hands back an `ijvm/Future` immediately instead of
-/// parking — one green thread can keep many requests in flight and
+/// `Service.post`/`postAt`: hands back an `ijvm/Future` at once instead
+/// of parking, so one green thread can keep many requests in flight and
 /// collect them with `Future.get`. Delivery failures (revocation)
 /// surface at `get`, not here; only argument errors throw at the post.
-fn port_post(
+fn service_post(
     vm: &mut Vm,
     tid: ThreadId,
     target: Option<UnitId>,
-    name: &str,
+    name: Arc<str>,
     kind: PayloadKind,
     payload: Value,
 ) -> NativeResult {
-    let iso = vm.threads[tid.0 as usize].current_isolate;
-    let mut bytes = Vec::with_capacity(32);
-    crate::wire::serialize_value(vm, payload, &mut bytes);
-    charge_copy(vm, iso, bytes.len());
-    let fid = vm.port.alloc_future();
+    let bytes = encode(vm, tid, payload);
+    let fid = open_future(vm, tid, None);
     let fut = match alloc_future_obj(vm, tid, fid) {
-        Ok(r) => r,
-        Err(e) => return e,
+        Ok(r) => Some(Value::Ref(r)),
+        Err(e) => {
+            vm.port.futures.remove(&fid);
+            return e;
+        }
     };
-    if let Some((unit, hub)) = vm.port.attach.clone() {
-        match hub.send_request(unit, target, name, kind, bytes, false) {
-            Ok(SendOutcome::Sent(call)) => {
-                vm.port.waiting.insert(call, Waiter::Future(fid));
-                vm.port.futures.insert(
-                    fid,
-                    FutureState {
-                        owner: iso,
-                        waiter: None,
-                        slot: FutureSlot::Pending { call },
-                    },
-                );
-                vm.trace_call_send(call, iso, tid, crate::trace::EventKind::FuturePost);
-                NativeResult::Return(Some(Value::Ref(fut)))
-            }
-            Ok(SendOutcome::OverQuota { bytes, dest }) => {
-                // The future ref goes on the sender's stack now
-                // (`BlockReturn`); the thread parks and the retry sweep
-                // wires the call id in once the destination admits.
-                vm.port.futures.insert(
-                    fid,
-                    FutureState {
-                        owner: iso,
-                        waiter: None,
-                        slot: FutureSlot::Pending { call: 0 },
-                    },
-                );
-                park_on_quota(
-                    vm,
-                    tid,
-                    iso,
-                    target,
-                    name,
-                    kind,
-                    bytes,
-                    SendMode::Post { future: fid },
-                    dest,
-                );
-                NativeResult::BlockReturn(Some(Value::Ref(fut)))
-            }
-            Err(SendError::Revoked) => {
-                let msg = format!("service '{name}' revoked: isolate terminated");
-                vm.port.futures.insert(
-                    fid,
-                    FutureState {
-                        owner: iso,
-                        waiter: None,
-                        slot: FutureSlot::Ready(Err(ReplyError::Revoked(msg))),
-                    },
-                );
-                vm.trace_call_send(0, iso, tid, crate::trace::EventKind::FuturePost);
-                NativeResult::Return(Some(Value::Ref(fut)))
-            }
-        }
-    } else {
-        if target.is_some() {
-            return NativeResult::Throw {
-                class_name: "java/lang/IllegalStateException",
-                message: "Service.postAt requires the VM to run in a cluster".to_owned(),
-            };
-        }
-        if !vm.port.pumps.contains_key(name) {
-            return NativeResult::Throw {
-                class_name: "java/lang/IllegalStateException",
-                message: format!("no service '{name}' (VM not attached to a cluster)"),
-            };
-        }
-        let call = vm.port.alloc_local_call();
-        vm.port.waiting.insert(call, Waiter::Future(fid));
-        vm.port.futures.insert(
-            fid,
-            FutureState {
-                owner: iso,
-                waiter: None,
-                slot: FutureSlot::Pending { call },
-            },
-        );
-        vm.trace_call_send(call, iso, tid, crate::trace::EventKind::FuturePost);
-        let name_arc: Arc<str> = Arc::from(name);
-        vm.pump_enqueue(
-            &name_arc,
-            ReadyRequest {
-                call,
-                reply_to: ReplyTo::Local,
-                kind,
-                bytes,
-                oneway: false,
-            },
-        );
-        NativeResult::Return(Some(Value::Ref(fut)))
+    // A quota park still hands the future back (`BlockReturn`); the
+    // retry sweep wires the call id in once the destination admits.
+    match port_request(vm, tid, target, name, kind, bytes, Some(fid)) {
+        Ok(false) => NativeResult::Return(fut),
+        Ok(true) => NativeResult::BlockReturn(fut),
+        Err(e) => e,
     }
 }
 
@@ -2611,12 +2454,11 @@ fn future_cancel(vm: &mut Vm, tid: ThreadId, recv: Value) -> NativeResult {
         }
         None => None,
     };
+    // The route stays: the late reply lands on the cancelled future and
+    // is dropped.
     let Some((call, waiter)) = pending else {
         return NativeResult::Return(Some(Value::Int(0)));
     };
-    if call != 0 {
-        vm.port.waiting.remove(&call);
-    }
     let iso = vm.threads[tid.0 as usize].current_isolate;
     vm.trace_emit(
         crate::trace::EventKind::FutureCancel,
@@ -2753,106 +2595,73 @@ fn register_natives(vm: &mut Vm) {
             }
         }),
     );
-    vm.register_native(
-        svc,
-        "call",
-        "(Ljava/lang/String;I)I",
-        Arc::new(|vm, tid, args| {
-            let name = match read_name(vm, args[0]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_call(vm, tid, None, &name, PayloadKind::Int, args[1])
-        }),
-    );
-    vm.register_native(
-        svc,
-        "call",
-        "(Ljava/lang/String;Ljava/lang/Object;)Ljava/lang/Object;",
-        Arc::new(|vm, tid, args| {
-            let name = match read_name(vm, args[0]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_call(vm, tid, None, &name, PayloadKind::Obj, args[1])
-        }),
-    );
-    vm.register_native(
-        svc,
-        "callAt",
-        "(ILjava/lang/String;I)I",
-        Arc::new(|vm, tid, args| {
-            let unit = args[0].as_int();
-            if unit < 0 {
-                return NativeResult::Throw {
-                    class_name: "java/lang/IllegalArgumentException",
-                    message: format!("bad unit address {unit}"),
+    // The request natives: `(name, payload)`, or `(unit, name, payload)`
+    // for the addressed `*At` forms.
+    use PayloadKind::{Int, Obj};
+    let port = "ijvm/Port";
+    let call: RequestFn = service_call;
+    let post: RequestFn = service_post;
+    let send: RequestFn = port_send;
+    let requests = [
+        (svc, "call", "(Ljava/lang/String;I)I", Int, call),
+        (
+            svc,
+            "call",
+            "(Ljava/lang/String;Ljava/lang/Object;)Ljava/lang/Object;",
+            Obj,
+            call,
+        ),
+        (svc, "callAt", "(ILjava/lang/String;I)I", Int, call),
+        (svc, "post", "(Ljava/lang/String;I)Lijvm/Future;", Int, post),
+        (
+            svc,
+            "post",
+            "(Ljava/lang/String;Ljava/lang/Object;)Lijvm/Future;",
+            Obj,
+            post,
+        ),
+        (
+            svc,
+            "postAt",
+            "(ILjava/lang/String;I)Lijvm/Future;",
+            Int,
+            post,
+        ),
+        (port, "send", "(Ljava/lang/String;I)V", Int, send),
+        (
+            port,
+            "send",
+            "(Ljava/lang/String;Ljava/lang/Object;)V",
+            Obj,
+            send,
+        ),
+    ];
+    for (class, method, desc, kind, request) in requests {
+        let addressed = method.ends_with("At");
+        vm.register_native(
+            class,
+            method,
+            desc,
+            Arc::new(move |vm, tid, args| {
+                let (target, args) = if addressed {
+                    let unit = args[0].as_int();
+                    if unit < 0 {
+                        return NativeResult::Throw {
+                            class_name: "java/lang/IllegalArgumentException",
+                            message: format!("bad unit address {unit}"),
+                        };
+                    }
+                    (Some(UnitId::new(unit as u32)), &args[1..])
+                } else {
+                    (None, args)
                 };
-            }
-            let name = match read_name(vm, args[1]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_call(
-                vm,
-                tid,
-                Some(UnitId::new(unit as u32)),
-                &name,
-                PayloadKind::Int,
-                args[2],
-            )
-        }),
-    );
-    vm.register_native(
-        svc,
-        "post",
-        "(Ljava/lang/String;I)Lijvm/Future;",
-        Arc::new(|vm, tid, args| {
-            let name = match read_name(vm, args[0]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_post(vm, tid, None, &name, PayloadKind::Int, args[1])
-        }),
-    );
-    vm.register_native(
-        svc,
-        "post",
-        "(Ljava/lang/String;Ljava/lang/Object;)Lijvm/Future;",
-        Arc::new(|vm, tid, args| {
-            let name = match read_name(vm, args[0]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_post(vm, tid, None, &name, PayloadKind::Obj, args[1])
-        }),
-    );
-    vm.register_native(
-        svc,
-        "postAt",
-        "(ILjava/lang/String;I)Lijvm/Future;",
-        Arc::new(|vm, tid, args| {
-            let unit = args[0].as_int();
-            if unit < 0 {
-                return NativeResult::Throw {
-                    class_name: "java/lang/IllegalArgumentException",
-                    message: format!("bad unit address {unit}"),
-                };
-            }
-            let name = match read_name(vm, args[1]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_post(
-                vm,
-                tid,
-                Some(UnitId::new(unit as u32)),
-                &name,
-                PayloadKind::Int,
-                args[2],
-            )
-        }),
-    );
+                match read_name(vm, args[0]) {
+                    Ok(name) => request(vm, tid, target, name, kind, args[1]),
+                    Err(e) => e,
+                }
+            }),
+        );
+    }
     let fut = "ijvm/Future";
     vm.register_native(
         fut,
@@ -2889,31 +2698,6 @@ fn register_natives(vm: &mut Vm) {
                 .as_ref()
                 .map_or(-1, |(u, _)| u.index() as i32);
             NativeResult::Return(Some(Value::Int(id)))
-        }),
-    );
-    let port = "ijvm/Port";
-    vm.register_native(
-        port,
-        "send",
-        "(Ljava/lang/String;I)V",
-        Arc::new(|vm, tid, args| {
-            let name = match read_name(vm, args[0]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_send(vm, tid, &name, PayloadKind::Int, args[1])
-        }),
-    );
-    vm.register_native(
-        port,
-        "send",
-        "(Ljava/lang/String;Ljava/lang/Object;)V",
-        Arc::new(|vm, tid, args| {
-            let name = match read_name(vm, args[0]) {
-                Ok(n) => n,
-                Err(e) => return e,
-            };
-            port_send(vm, tid, &name, PayloadKind::Obj, args[1])
         }),
     );
 }
@@ -2966,8 +2750,8 @@ mod tests {
         assert_eq!(hub.unresolved_requests(), 1);
         assert!(hub.quiescent());
         // ...and is routed on export.
-        hub.export(UnitId::new(2), Arc::from("svc"), IsolateId(0));
-        hub.export(UnitId::new(1), Arc::from("svc"), IsolateId(0));
+        hub.export(UnitId::new(2), Arc::from("svc"));
+        hub.export(UnitId::new(1), Arc::from("svc"));
         assert_eq!(hub.unresolved_requests(), 0);
         assert!(hub.has_mail(UnitId::new(2)), "first exporter got the call");
         assert!(hub.has_woken());
@@ -3002,7 +2786,7 @@ mod tests {
         });
         let dest = UnitId::new(0);
         let sender = UnitId::new(3);
-        hub.export(dest, Arc::from("svc"), IsolateId(0));
+        hub.export(dest, Arc::from("svc"));
         // Two admissions fill the quota...
         sent(hub.send_request(sender, None, "svc", PayloadKind::Int, vec![1], false));
         sent(hub.send_request(sender, None, "svc", PayloadKind::Int, vec![2], false));
@@ -3051,8 +2835,8 @@ mod tests {
     #[test]
     fn hub_revocation_fails_sends_and_addressing_targets_units() {
         let hub = PortHub::default();
-        hub.export(UnitId::new(0), Arc::from("svc"), IsolateId(1));
-        hub.export(UnitId::new(1), Arc::from("svc"), IsolateId(1));
+        hub.export(UnitId::new(0), Arc::from("svc"));
+        hub.export(UnitId::new(1), Arc::from("svc"));
         // Addressed send goes to the named unit even if not the lowest.
         hub.send_request(
             UnitId::new(5),
@@ -3106,7 +2890,7 @@ mod tests {
             proptest::prop_assert_eq!(shard, shard_of(name.clone().as_str()));
             let hub = PortHub::default();
             for &u in units.iter() {
-                hub.export(UnitId::new(u), Arc::from(name.as_str()), IsolateId(0));
+                hub.export(UnitId::new(u), Arc::from(name.as_str()));
             }
             sent(hub.send_request(
                 UnitId::new(99),
@@ -3137,7 +2921,7 @@ mod tests {
             max_bytes: 1 << 20,
         };
         let hub = Arc::new(PortHub::with_quota(quota));
-        hub.export(UnitId::new(0), Arc::from("svc"), IsolateId(0));
+        hub.export(UnitId::new(0), Arc::from("svc"));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         let senders: Vec<_> = (1u32..5)
             .map(|s| {

@@ -205,7 +205,10 @@ impl Vm {
                 }
                 self.wake(tid);
             }
-            _ => self.wake(tid),
+            _ => {
+                self.port_unpark(tid);
+                self.wake(tid);
+            }
         }
     }
 }

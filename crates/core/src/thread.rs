@@ -183,7 +183,9 @@ pub enum ThreadState {
     },
     /// Blocked entering a contended monitor.
     BlockedOnMonitor(GcRef),
-    /// Parked in `Object.wait`.
+    /// Parked in `Object.wait`. No native parks here yet; the state (and
+    /// [`crate::heap::MonitorState::wait_set`]) stays because the
+    /// checkpoint format encodes it.
     WaitingOnMonitor(GcRef),
     /// Waiting for another thread to finish.
     BlockedOnJoin(ThreadId),
@@ -194,17 +196,12 @@ pub enum ThreadState {
         /// The isolate whose mirror is being initialized.
         isolate: IsolateId,
     },
-    /// Parked inside `ijvm/Service.call` awaiting the reply for the given
-    /// call id (see [`crate::port`]). The reply (or a revocation error)
-    /// is delivered at a quantum boundary and wakes the thread.
-    BlockedOnPort {
-        /// The in-flight call this thread is waiting on.
-        call: u64,
-    },
-    /// Parked inside `ijvm/Future.get` awaiting resolution of the given
-    /// future id (see [`crate::port`]). The reply routes by request id to
-    /// the future, which pushes the decoded value (or a pending
-    /// exception) and wakes the thread.
+    /// Parked awaiting resolution of the given future id (see
+    /// [`crate::port`]): inside `ijvm/Future.get`, or inside a blocking
+    /// `ijvm/Service.call`, which waits on a hidden future the same way.
+    /// The reply routes by request id to the future, which pushes the
+    /// decoded value (or a pending exception) and wakes the thread. An
+    /// interrupt detaches the thread from the future first.
     BlockedOnFuture {
         /// The future this thread is waiting on.
         future: u32,

@@ -386,11 +386,6 @@ impl Vm {
             .ok_or(VmError::BadIsolate(iso))
     }
 
-    #[allow(dead_code)]
-    pub(crate) fn isolate_mut(&mut self, iso: IsolateId) -> &mut Isolate {
-        &mut self.isolates[iso.0 as usize]
-    }
-
     /// Number of isolates ever created.
     pub fn isolate_count(&self) -> usize {
         self.isolates.len()
@@ -663,11 +658,6 @@ impl Vm {
     /// Shared access to a loaded class.
     pub fn class(&self, id: ClassId) -> &RuntimeClass {
         &self.classes[id.0 as usize]
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn class_mut(&mut self, id: ClassId) -> &mut RuntimeClass {
-        &mut self.classes[id.0 as usize]
     }
 
     /// Looks up an already-loaded class by loader and name.
@@ -1155,7 +1145,6 @@ impl Vm {
             match t.state {
                 ThreadState::Sleeping { .. }
                 | ThreadState::WaitingOnMonitor(_)
-                | ThreadState::BlockedOnPort { .. }
                 | ThreadState::BlockedOnFuture { .. }
                 | ThreadState::BlockedOnQuota
                     if t.interrupted =>
@@ -1188,6 +1177,7 @@ impl Vm {
         }
         for tid in to_interrupt {
             self.threads[tid.0 as usize].interrupted = false;
+            self.port_unpark(tid);
             let ex = crate::interp::alloc_exception(
                 self,
                 tid,

@@ -277,6 +277,57 @@ fn future_cancelled_in_flight_across_modes() {
     assert_eq!(metrics.totals.futures_resolved, 1);
 }
 
+/// A client that cancels its only future and exits while the request
+/// is still being served. The cancelled future's route outlives it, so
+/// the client's unit stays alive until the late reply lands and is
+/// discarded. Without that, the reply would strand in a finished unit's
+/// mailbox and the cluster could never quiesce.
+#[test]
+fn cancel_then_exit_absorbs_the_late_reply_across_modes() {
+    let client = UnitSpec {
+        src: r#"
+            class Client {
+                static int drive(int n) {
+                    Future f = Service.post("slow", n);
+                    if (f.cancel()) return 1;
+                    return 0;
+                }
+            }
+        "#
+        .to_owned(),
+        entry: "Client",
+        method: "drive",
+        thread_args: vec![5],
+    };
+    let server = UnitSpec {
+        src: r#"
+            class Slow {
+                int handle(int x) {
+                    int s = 0;
+                    for (int i = 0; i < 20000; i++) { s += i; }
+                    return x + 1;
+                }
+            }
+            class Boot {
+                static int start(int n) {
+                    Service.export("slow", new Slow());
+                    return n;
+                }
+            }
+        "#
+        .to_owned(),
+        entry: "Boot",
+        method: "start",
+        thread_args: vec![1],
+    };
+    let (oracle, metrics) = assert_modes_agree(&[client, server], 100, 200, None, &[]);
+    assert_eq!(oracle[0].results[0], Ok(Some("1".to_owned())));
+    assert_eq!(oracle[0].outcome, RunOutcome::Idle);
+    assert_eq!(metrics.totals.futures_cancelled, 1);
+    assert_eq!(metrics.totals.calls_served, 1);
+    assert_eq!(metrics.totals.futures_resolved, 0);
+}
+
 /// Floods `messages` oneways at "sink" — after a blocking handshake
 /// call that forces the export to exist (and the pump to have cycled
 /// once) before the flood begins, so the flood hits quota admission in

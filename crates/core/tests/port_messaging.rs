@@ -17,6 +17,7 @@
 use ijvm_core::port::MSG_BASE_COST;
 use ijvm_core::prelude::*;
 use ijvm_core::sched::UnitHandle;
+use ijvm_core::thread::ThreadState;
 use ijvm_minijava::{compile_to_bytes, CompileEnv};
 use proptest::prelude::*;
 
@@ -292,6 +293,62 @@ fn object_graph_round_trip_matches_across_modes() {
     let oracle = assert_modes_agree(&[server, client], 250, 500, &[]);
     // Each call returns v = i + (i+1)*10, cycle check adds 1.
     let expect: i64 = (0..12i64).map(|i| i + (i + 1) * 10 + 1).sum();
+    assert_eq!(oracle[1].results[0], Ok(Some(expect.to_string())));
+}
+
+/// One pump serves both payload kinds: a handler class declaring
+/// `int handle(int)` and `Object handle(Object)` answers int and
+/// object-graph calls on one service, in arrival order, bit-identically
+/// across modes.
+#[test]
+fn one_pump_serves_both_payload_kinds_across_modes() {
+    let server = UnitSpec {
+        src: r#"
+            class Pair { Pair other; int v; }
+            class Dual {
+                int handle(int x) { return x * 2; }
+                Object handle(Object o) {
+                    Pair p = (Pair) o;
+                    p.v = p.v + 100;
+                    return p;
+                }
+            }
+            class Boot {
+                static int start(int n) {
+                    Service.export("dual", new Dual());
+                    return n;
+                }
+            }
+        "#
+        .to_owned(),
+        entry: "Boot",
+        method: "start",
+        thread_args: vec![1],
+    };
+    let client = UnitSpec {
+        src: r#"
+            class Pair { Pair other; int v; }
+            class Client {
+                static int drive(int n) {
+                    int acc = 0;
+                    for (int i = 0; i < n; i++) {
+                        Pair p = new Pair();
+                        p.v = i;
+                        Pair r = (Pair) Service.call("dual", p);
+                        acc += Service.call("dual", i) + r.v;
+                    }
+                    return acc;
+                }
+            }
+        "#
+        .to_owned(),
+        entry: "Client",
+        method: "drive",
+        thread_args: vec![10],
+    };
+    let oracle = assert_modes_agree(&[server, client], 250, 500, &[]);
+    // Each round adds i * 2 + (i + 100).
+    let expect: i64 = (0..10i64).map(|i| i * 2 + i + 100).sum();
     assert_eq!(oracle[1].results[0], Ok(Some(expect.to_string())));
 }
 
@@ -613,6 +670,93 @@ fn unattached_vm_serves_local_calls() {
         .call_static_as(client, "drive", "(I)I", vec![Value::Int(1)], client_iso)
         .unwrap();
     assert_eq!(out, Some(Value::Int(42)));
+}
+
+/// An interrupt pulls a thread out of a future wait with an
+/// `InterruptedException` and detaches it from the future. A
+/// `Future.get` may then wait on the same future again and still gets
+/// the late reply. An interrupted `Service.call` drops its hidden
+/// future, so the late reply is discarded. Neither leaves a stale waiter
+/// behind: the VM ends `Idle` and can be checkpointed.
+#[test]
+fn interrupted_waits_detach_from_their_futures() {
+    let server_src = r#"
+        class Slow {
+            int handle(int x) {
+                int s = 0;
+                for (int i = 0; i < 50000; i++) { s += i; }
+                return x + 1;
+            }
+        }
+        class Boot {
+            static int start(int n) {
+                Service.export("slow", new Slow());
+                return n;
+            }
+        }
+    "#;
+    let client_src = r#"
+        class Client {
+            static int viaGet(int n) {
+                Future f = Service.post("slow", n);
+                int r = 0;
+                try {
+                    r = f.get();
+                } catch (InterruptedException e) {
+                    r = 1000 + f.get();
+                }
+                return r;
+            }
+            static int viaCall(int n) {
+                int r = 0;
+                try {
+                    r = Service.call("slow", n);
+                } catch (InterruptedException e) {
+                    r = 1000;
+                }
+                return r;
+            }
+        }
+    "#;
+    for (method, expect) in [("viaGet", 1002), ("viaCall", 1000)] {
+        let mut vm = ijvm_jsl::boot(lane_options(500));
+        let server_iso = vm.create_isolate("server");
+        let server_loader = vm.loader_of(server_iso).unwrap();
+        for (name, bytes) in compile_to_bytes(server_src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(server_loader, &name, bytes);
+        }
+        let boot = vm.load_class(server_loader, "Boot").unwrap();
+        vm.call_static_as(boot, "start", "(I)I", vec![Value::Int(0)], server_iso)
+            .unwrap();
+        let client_iso = vm.create_isolate("client");
+        let client_loader = vm.loader_of(client_iso).unwrap();
+        for (name, bytes) in compile_to_bytes(client_src, &CompileEnv::new()).unwrap() {
+            vm.add_class_bytes(client_loader, &name, bytes);
+        }
+        let class = vm.load_class(client_loader, "Client").unwrap();
+        let index = vm.class(class).find_method(method, "(I)I").unwrap();
+        let tid = vm
+            .spawn_thread(
+                method,
+                MethodRef { class, index },
+                vec![Value::Int(1)],
+                client_iso,
+            )
+            .unwrap();
+        let _ = vm.run(Some(5_000));
+        assert!(
+            matches!(
+                vm.thread_state_of(tid).unwrap(),
+                ThreadState::BlockedOnFuture { .. }
+            ),
+            "{method}: the client parks on its future while the handler runs"
+        );
+        vm.interrupt(tid);
+        assert_eq!(vm.run(None), RunOutcome::Idle, "{method}");
+        assert_eq!(vm.thread_result(tid), Some(Value::Int(expect)), "{method}");
+        vm.checkpoint()
+            .unwrap_or_else(|e| panic!("{method}: no stale waiter may block a checkpoint: {e}"));
+    }
 }
 
 /// A `StoppedIsolateException` escaping a handler because it called

@@ -159,13 +159,10 @@ fn gen_class(c: &ClassDecl, info: &ClassInfo, env: &Env, internal: &str) -> Resu
         cb.field(&f.name, &sig.ty.descriptor(), fflags);
     }
 
+    // Phase 1 registered one signature per declaration, in declaration
+    // order, so zipping pairs each overload with its own signature.
     if c.is_interface {
-        for m in &c.methods {
-            let sig = info
-                .methods
-                .iter()
-                .find(|s| s.name == m.name)
-                .expect("signature registered in phase 1");
+        for (m, sig) in c.methods.iter().zip(&info.methods) {
             cb.abstract_method(&m.name, &sig.descriptor(), AccessFlags::PUBLIC);
         }
         return cb
@@ -182,7 +179,7 @@ fn gen_class(c: &ClassDecl, info: &ClassInfo, env: &Env, internal: &str) -> Resu
         .collect();
     if !static_inits.is_empty() {
         let mb = cb.method("<clinit>", "()V", AccessFlags::STATIC);
-        let mut g = Gen::new(mb, env, info, internal, Ty::Void, true);
+        let mut g = Gen::new(mb, env, internal, Ty::Void, true);
         for (f, sig) in &static_inits {
             let t = g.expr(f.init.as_ref().expect("filtered on init"))?;
             g.convert(&t, &sig.ty, f.line)?;
@@ -201,15 +198,15 @@ fn gen_class(c: &ClassDecl, info: &ClassInfo, env: &Env, internal: &str) -> Resu
         .collect();
 
     let mut has_ctor = false;
-    for m in &c.methods {
+    for (m, sig) in c.methods.iter().zip(&info.methods) {
         if m.is_ctor {
             has_ctor = true;
         }
         gen_method(
             &mut cb,
             m,
+            sig,
             c,
-            info,
             env,
             internal,
             &superclass,
@@ -219,7 +216,7 @@ fn gen_class(c: &ClassDecl, info: &ClassInfo, env: &Env, internal: &str) -> Resu
     if !has_ctor {
         // Default constructor.
         let mb = cb.method("<init>", "()V", AccessFlags::PUBLIC);
-        let mut g = Gen::new(mb, env, info, internal, Ty::Void, false);
+        let mut g = Gen::new(mb, env, internal, Ty::Void, false);
         g.mb.aload(0);
         g.mb.invokespecial(&superclass, "<init>", "()V");
         gen_field_inits(&mut g, internal, &instance_inits)?;
@@ -250,22 +247,13 @@ fn gen_field_inits(
 fn gen_method(
     cb: &mut ClassBuilder,
     m: &MethodDecl,
+    sig: &MethodSig,
     c: &ClassDecl,
-    info: &ClassInfo,
     env: &Env,
     internal: &str,
     superclass: &str,
     instance_inits: &[(&FieldDecl, &FieldSig)],
 ) -> Result<()> {
-    let sig = env
-        .class(internal)
-        .and_then(|ci| {
-            ci.methods
-                .iter()
-                .find(|s| s.name == m.name && s.params.len() == m.params.len())
-        })
-        .cloned()
-        .expect("signature registered in phase 1");
     let mut flags = AccessFlags::PUBLIC;
     if m.is_static {
         flags |= AccessFlags::STATIC;
@@ -274,7 +262,7 @@ fn gen_method(
         flags |= AccessFlags::SYNCHRONIZED;
     }
     let mb = cb.method(&m.name, &sig.descriptor(), flags);
-    let mut g = Gen::new(mb, env, info, internal, sig.ret.clone(), m.is_static);
+    let mut g = Gen::new(mb, env, internal, sig.ret.clone(), m.is_static);
     // Parameters.
     let first_slot = if m.is_static { 0 } else { 1 };
     for (slot, ((pname, _), pty)) in (first_slot..).zip(m.params.iter().zip(&sig.params)) {
@@ -308,8 +296,6 @@ fn gen_method(
 struct Gen<'cb> {
     mb: MethodBuilder<'cb>,
     env: &'cb Env,
-    #[allow(dead_code)] // kept for diagnostics / future `super.` support
-    class: &'cb ClassInfo,
     internal: &'cb str,
     ret: Ty,
     is_static: bool,
@@ -321,7 +307,6 @@ impl<'cb> Gen<'cb> {
     fn new(
         mb: MethodBuilder<'cb>,
         env: &'cb Env,
-        class: &'cb ClassInfo,
         internal: &'cb str,
         ret: Ty,
         is_static: bool,
@@ -329,7 +314,6 @@ impl<'cb> Gen<'cb> {
         Gen {
             mb,
             env,
-            class,
             internal,
             ret,
             is_static,

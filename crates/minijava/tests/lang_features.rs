@@ -375,3 +375,34 @@ fn compile_errors_carry_useful_messages() {
         );
     }
 }
+
+/// Same-arity overloads each compile against their own signature, in
+/// either declaration order — the shape of a service handler serving
+/// both `handle(int)` and `handle(Object)` from one class.
+#[test]
+fn same_arity_overloads_compile_in_either_order() {
+    let src = r#"
+        class Box { int v; }
+        class IntFirst {
+            int handle(int x) { return x + 1; }
+            Object handle(Object o) { Box b = (Box) o; b.v = b.v * 2; return b; }
+        }
+        class ObjFirst {
+            Object handle(Object o) { Box b = (Box) o; b.v = b.v * 3; return b; }
+            int handle(int x) { return x + 2; }
+        }
+        class T {
+            static int f(int n) {
+                IntFirst a = new IntFirst();
+                ObjFirst b = new ObjFirst();
+                Box x = new Box();
+                x.v = n;
+                Box y = (Box) a.handle(x);
+                Box z = (Box) b.handle(y);
+                return a.handle(n) * 10000 + b.handle(n) * 100 + z.v;
+            }
+        }
+    "#;
+    // a.handle(5) = 6, b.handle(5) = 7, (5 * 2) * 3 = 30.
+    assert_eq!(run_int(src, "T", "f", vec![Value::Int(5)]), 60730);
+}
